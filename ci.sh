@@ -60,6 +60,20 @@ timeout 120 ./target/release/crossbow fleet --seed 7 --precision int8 | tee "$FL
 grep -q "FLEET-REPORT pass=true .*precision=int8 precision_ok=true" "$FLEET_LOG"
 rm -f "$FLEET_LOG"
 
+echo "== train-and-serve smoke (seeded, wall-clock bounded) =="
+# A one-model fleet serving a model while it trains; the binary exits
+# non-zero when a request fails or is lost or a closed client sees a
+# snapshot version regress.
+timeout 120 ./target/release/crossbow serve --seed 7 --epochs 1
+
+echo "== benchmark smoke (perf/check.sh --smoke) =="
+# Every benchmark workload at 1/16 size, untraced and traced, with its
+# correctness checks: bit-identical dist training, flat arenas, served
+# classes equal to offline predictions, versions never going backwards,
+# every request accounted for. Then the result lines are validated
+# against BENCHMARK.json.
+timeout 600 perf/check.sh --smoke
+
 echo "== trace validity =="
 # A short traced run must emit parseable Chrome Trace JSON holding the
 # learning, local-sync and global-sync spans (the --check mode of the

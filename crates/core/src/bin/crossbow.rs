@@ -26,14 +26,12 @@ use crossbow::exec_sim::{
     simulate, simulate_robust, simulate_with_machine, RobustSimConfig, SimConfig,
 };
 use crossbow::fleet::{
-    run_fleet_load, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetConfig, FleetLoadReport,
-    SloClass, StreamSpec,
+    run_fleet_load, train_into_fleet, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetConfig,
+    FleetLoadReport, FleetTrainConfig, SloClass, StreamSpec,
 };
 use crossbow::gpu_sim::{FaultPlan, SimDuration};
 use crossbow::nn::ModelProfile;
-use crossbow::serve::{
-    train_and_serve, BatchConfig, LoadConfig, LoadMode, ServeConfig, TrainAndServeConfig,
-};
+use crossbow::serve::BatchConfig;
 use crossbow::sync::sma::{Sma, SmaConfig};
 use crossbow::sync::trainer::PublishHook;
 use crossbow::sync::TrainerConfig;
@@ -922,25 +920,43 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     ])?;
     let seed = flags.parse_num("seed", 42u64)?;
     let precision: Precision = flags.get("precision").unwrap_or("f32").parse()?;
-    let mode = match flags.get("mode").unwrap_or("closed") {
-        "closed" => LoadMode::Closed {
-            clients: flags.parse_num("clients", 4usize)?,
-            requests_per_client: flags.parse_num("requests", 200usize)?,
-        },
-        "open" => LoadMode::Open {
-            rps: flags.parse_num("rate", 2000.0f64)?,
-            requests: flags.parse_num("requests", 500usize)?,
-        },
+    // One model and one class: `--clients` closed streams, or one open
+    // stream paced at `--rate`.
+    const MODEL: &str = "live";
+    let stream = |arrival, requests| StreamSpec {
+        model: MODEL.into(),
+        class: SloClass::Standard,
+        arrival,
+        requests,
+        deadline: Duration::from_secs(1),
+    };
+    let load = match flags.get("mode").unwrap_or("closed") {
+        "closed" => vec![
+            stream(Arrival::Closed, flags.parse_num("requests", 200usize)?);
+            flags.parse_num("clients", 4usize)?
+        ],
+        "open" => vec![stream(
+            Arrival::Open {
+                rps: flags.parse_num("rate", 2000.0f64)?,
+            },
+            flags.parse_num("requests", 500usize)?,
+        )],
         other => return Err(format!("unknown mode `{other}` (closed|open)")),
     };
+    if load.is_empty() || load[0].requests == 0 {
+        return Err("--clients and --requests must be positive".into());
+    }
     let telemetry = flags.get("trace").map(|_| Telemetry::wall());
-    let mut serve_config = ServeConfig::new(flags.parse_num("workers", 2usize)?);
-    serve_config.batch = BatchConfig {
-        max_batch: flags.parse_num("max-batch", 16usize)?,
-        max_delay: Duration::from_micros(flags.parse_num("max-delay-us", 2000u64)?),
-        ..BatchConfig::default()
+    let config = FleetConfig {
+        batch: BatchConfig {
+            max_batch: flags.parse_num("max-batch", 16usize)?,
+            max_delay: Duration::from_micros(flags.parse_num("max-delay-us", 2000u64)?),
+            ..BatchConfig::default()
+        },
+        initial_workers: flags.parse_num("workers", 2usize)?,
+        telemetry: telemetry.clone(),
+        ..FleetConfig::default()
     };
-    serve_config.telemetry = telemetry.clone();
 
     // A Gaussian-mixture task small enough that training and serving both
     // run in seconds on one core.
@@ -956,19 +972,30 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(t) = &telemetry {
         trainer = trainer.with_telemetry(t.clone());
     }
-    let config = TrainAndServeConfig {
+    let fleet = Fleet::builder(config)
+        .model(MODEL, Arc::clone(&net))
+        .start();
+    let registry = fleet.registry(MODEL).expect("just registered");
+    let config = FleetTrainConfig {
+        live_model: MODEL.into(),
         trainer,
         publish_every: flags.parse_num("publish-every", 20u64)?,
-        serve: serve_config,
-        load: LoadConfig {
-            mode,
-            seed,
-            panic_client: None,
-        },
+        load,
+        seed,
         precision,
     };
-    let report = train_and_serve(&net, &train_set, &test_set, &mut algo, &config);
+    let report = train_into_fleet(fleet, &net, &train_set, &test_set, &mut algo, &config);
 
+    let streams = &report.load.streams;
+    let submitted: u64 = streams.iter().map(|s| s.submitted).sum();
+    let ok = report.load.total_ok();
+    let rejected: u64 = streams.iter().map(|s| s.shed + s.rejected).sum();
+    let failed: u64 = streams.iter().map(|s| s.failed).sum();
+    let monotonic = report.load.versions_monotonic();
+    let server = report.fleet.model(MODEL).expect("registered above");
+    let served = registry
+        .current()
+        .ok_or("the live model lost its snapshot")?;
     println!("train-and-serve (mlp on a 4-class Gaussian mixture)");
     println!("---------------------------------------------------");
     println!(
@@ -976,32 +1003,40 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         report.curve.iterations, report.curve.final_accuracy
     );
     println!(
-        "load               : {} submitted, {} ok, {} rejected, {} failed",
-        report.load.submitted, report.load.ok, report.load.rejected, report.load.failed
+        "load               : {submitted} submitted, {ok} ok, {rejected} rejected, {failed} failed"
     );
     println!(
-        "snapshot versions  : {}..{} (monotonic per client: {})",
-        report.load.min_version, report.load.max_version, report.load.versions_monotonic
+        "snapshot versions  : {}..{} (monotonic per client: {monotonic})",
+        streams.iter().map(|s| s.min_version).min().unwrap_or(0),
+        streams.iter().map(|s| s.max_version).max().unwrap_or(0),
     );
-    println!("server             : {}", report.serve.summary());
+    println!("server             : {}", server.summary());
     println!(
         "final precision    : {}{}",
-        report.serve.precision,
-        match report.serve.accuracy_delta {
+        served.precision,
+        match served.accuracy_delta {
             Some(d) => format!(" (accuracy delta vs f32: {d:+.4})"),
             None => String::new(),
         }
     );
     println!(
         "latency            : p50 {:?}  p95 {:?}  p99 {:?}",
-        report.serve.request_latency.p50,
-        report.serve.request_latency.p95,
-        report.serve.request_latency.p99
+        server.latency.p50, server.latency.p95, server.latency.p99
     );
     if let (Some(path), Some(t)) = (flags.get("trace"), &telemetry) {
         let timeline = t.recorder.timeline();
         let json = chrome::to_chrome_json(timeline.spans(), &[(HOST_DEVICE, "host")]);
         write_trace(path, &json, timeline.len())?;
+    }
+    // The invariants `crossbow fleet` checks: every submission got a
+    // terminal answer, no closed client saw a version regress, and the
+    // final round served at the requested precision.
+    if failed > 0 || ok + rejected != submitted || !monotonic || served.precision != precision {
+        return Err(
+            "serve invariants violated (a failed or lost request, a version \
+                    regress, or the wrong final precision)"
+                .into(),
+        );
     }
     Ok(())
 }

@@ -7,9 +7,12 @@
 //! *runtime* version: real threads, real queues, and the same pipelined
 //! overlap as the GPU engine:
 //!
-//! * **data pre-processors** ([`crossbow_data::Prefetcher`]) fill a
-//!   bounded batch queue (the circular buffer of §4.5);
-//! * each **learner** runs on a worker thread: it takes a batch, computes
+//! * there is no separate **data pre-processor** stage: each learner
+//!   gathers its next batch inline from its own sampler, so batch
+//!   assembly is on the learner's critical path
+//!   ([`crossbow_data::Prefetcher`], the paper's bounded batch queue of
+//!   §4.5, exists but is not wired in here);
+//! * each **learner** runs on a worker thread: it gathers a batch, computes
 //!   the gradient against its replica (the *learning task*), applies the
 //!   gradient plus the SMA correction against its snapshot of the central
 //!   average model (the *local synchronisation task*), and posts its

@@ -12,7 +12,7 @@
 //! themselves at a safe point) based on interval tail latency and queue
 //! backlog — the serving analogue of the paper's Algorithm 2.
 //!
-//! Shutdown reuses the serving drain discipline: admission closes,
+//! Shutdown is a graceful drain: admission closes,
 //! every queued request is answered (predictions for what drains, a
 //! typed error for nothing), workers join, and per-model stats merge
 //! into a [`FleetReport`].
@@ -437,7 +437,7 @@ impl Fleet {
     /// divergence counters, then [`Fleet::promote`] or
     /// [`Fleet::abort_candidate`]. `accuracy_delta` is the offline
     /// quantization cost vs f32; it is published with the snapshot on
-    /// promotion so the serve report carries it.
+    /// promotion so the primary registry carries it.
     ///
     /// # Errors
     /// [`FleetError::UnknownModel`], or [`FleetError::BadRequest`] when
@@ -662,9 +662,9 @@ fn worker_loop(inner: &Inner, home: usize, lane: u32) {
     }
 }
 
-/// Coalesces `first` with more of the owner's queued jobs, mirroring the
-/// serve batcher: flush on `max_batch` or when the oldest job has waited
-/// `max_delay`; during a drain, take only what is already buffered.
+/// Coalesces `first` with more of the owner's queued jobs: flush on
+/// `max_batch` or when the oldest job has waited `max_delay`; during a
+/// drain, take only what is already buffered.
 fn collect_batch(
     owner: &ModelRuntime,
     first: FleetJob,

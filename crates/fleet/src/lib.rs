@@ -1,10 +1,10 @@
 //! Multi-model, SLO-driven serving for the CROSSBOW reproduction.
 //!
-//! `crossbow-serve` runs one model behind one fixed pool; this crate is
-//! what "millions of users" traffic lands on: many named models behind
-//! one admission edge, each with its own pool, sharing capacity and
-//! scaling themselves. Built entirely on std plus the in-repo serving
-//! stack:
+//! This crate is the serving stack: many named models behind one
+//! admission edge, each with its own pool, sharing capacity and scaling
+//! themselves. One model, one class and the autoscaler off is the plain
+//! case (`crossbow serve`). Built entirely on std plus the snapshot
+//! registry and formats of `crossbow-serve`:
 //!
 //! * [`request`] — the admission vocabulary: [`SloClass`] priority
 //!   lattice, per-request deadlines, goodput-aware replies;

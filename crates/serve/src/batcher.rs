@@ -1,17 +1,14 @@
-//! Deadline-based micro-batch assembly.
+//! Micro-batching parameters.
 //!
 //! The serving inversion of the paper's small-batch thesis: training
 //! wants small batches for statistical efficiency, but a forward pass
-//! over one request wastes the hardware. Workers therefore coalesce
-//! queued requests into a batch, flushing when either `max_batch`
-//! requests are in hand or the *oldest* request has waited `max_delay` —
-//! so a burst pays one efficient forward pass and a trickle still meets
-//! its latency bound.
+//! over one request wastes the hardware. Serving workers (the
+//! `crossbow-fleet` pools) therefore coalesce queued requests into a
+//! batch, flushing when either `max_batch` requests are in hand or the
+//! *oldest* request has waited `max_delay` — so a burst pays one
+//! efficient forward pass and a trickle still meets its latency bound.
 
-use crate::server::Job;
-use crossbow_data::chan::{Receiver, RecvTimeoutError};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Micro-batching parameters.
 #[derive(Clone, Copy, Debug)]
@@ -43,147 +40,5 @@ impl BatchConfig {
             max_batch: 1,
             ..BatchConfig::default()
         }
-    }
-}
-
-/// Coalesces `first` with further queued jobs into one batch.
-///
-/// Returns once `max_batch` jobs are in hand or `first` has aged past
-/// `max_delay` — whichever comes sooner. During shutdown (`stopping`
-/// set) nothing waits: whatever is buffered right now is taken, so the
-/// drain completes promptly.
-pub(crate) fn collect_batch(
-    rx: &Receiver<Job>,
-    first: Job,
-    config: &BatchConfig,
-    stopping: &AtomicBool,
-) -> Vec<Job> {
-    let deadline = first.enqueued + config.max_delay;
-    let mut batch = Vec::with_capacity(config.max_batch.max(1));
-    batch.push(first);
-    while batch.len() < config.max_batch {
-        // Free jobs first: anything already buffered joins the batch
-        // without waiting.
-        if let Some(job) = rx.try_recv() {
-            batch.push(job);
-            continue;
-        }
-        if stopping.load(Ordering::Acquire) {
-            break;
-        }
-        let Some(wait) = deadline.checked_duration_since(Instant::now()) else {
-            break;
-        };
-        match rx.recv_timeout(wait) {
-            Ok(job) => batch.push(job),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    batch
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::server::Job;
-    use crossbow_data::chan::bounded;
-    use std::sync::mpsc;
-
-    fn job() -> (Job, mpsc::Receiver<crate::server::Reply>) {
-        let (resp, ticket) = mpsc::channel();
-        (
-            Job {
-                input: vec![0.0],
-                enqueued: Instant::now(),
-                resp,
-            },
-            ticket,
-        )
-    }
-
-    #[test]
-    fn flushes_on_max_batch_without_waiting_out_the_delay() {
-        let (tx, rx) = bounded::<Job>(8);
-        let mut tickets = Vec::new();
-        for _ in 0..3 {
-            let (j, t) = job();
-            tx.send_timeout(j, Duration::ZERO).unwrap();
-            tickets.push(t);
-        }
-        let first = rx.recv().unwrap();
-        let cfg = BatchConfig {
-            max_batch: 3,
-            max_delay: Duration::from_secs(60),
-            queue_depth: 8,
-        };
-        let started = Instant::now();
-        let batch = collect_batch(&rx, first, &cfg, &AtomicBool::new(false));
-        assert_eq!(batch.len(), 3);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "a full batch must not wait for the deadline"
-        );
-    }
-
-    #[test]
-    fn flushes_a_partial_batch_at_the_deadline() {
-        let (tx, rx) = bounded::<Job>(8);
-        let (j, _t) = job();
-        tx.send_timeout(j, Duration::ZERO).unwrap();
-        let first = rx.recv().unwrap();
-        let cfg = BatchConfig {
-            max_batch: 16,
-            max_delay: Duration::from_millis(20),
-            queue_depth: 8,
-        };
-        let batch = collect_batch(&rx, first, &cfg, &AtomicBool::new(false));
-        assert_eq!(batch.len(), 1, "deadline flush with whatever arrived");
-    }
-
-    #[test]
-    fn deadline_is_anchored_to_the_oldest_request() {
-        // A first job that has already aged past the delay flushes with
-        // only the free jobs — the deadline does not restart per arrival.
-        let (tx, rx) = bounded::<Job>(8);
-        let (mut j, _t) = job();
-        j.enqueued = Instant::now() - Duration::from_secs(1);
-        tx.send_timeout(j, Duration::ZERO).unwrap();
-        let (j2, _t2) = job();
-        tx.send_timeout(j2, Duration::ZERO).unwrap();
-        let first = rx.recv().unwrap();
-        let cfg = BatchConfig {
-            max_batch: 16,
-            max_delay: Duration::from_millis(50),
-            queue_depth: 8,
-        };
-        let started = Instant::now();
-        let batch = collect_batch(&rx, first, &cfg, &AtomicBool::new(false));
-        assert_eq!(batch.len(), 2, "buffered job still joins");
-        assert!(
-            started.elapsed() < Duration::from_millis(40),
-            "no fresh wait"
-        );
-    }
-
-    #[test]
-    fn stopping_takes_the_buffer_without_waiting() {
-        let (tx, rx) = bounded::<Job>(8);
-        let (j, _t) = job();
-        tx.send_timeout(j, Duration::ZERO).unwrap();
-        let (j2, _t2) = job();
-        tx.send_timeout(j2, Duration::ZERO).unwrap();
-        let first = rx.recv().unwrap();
-        let cfg = BatchConfig {
-            max_batch: 16,
-            max_delay: Duration::from_secs(60),
-            queue_depth: 8,
-        };
-        let started = Instant::now();
-        let batch = collect_batch(&rx, first, &cfg, &AtomicBool::new(true));
-        assert_eq!(batch.len(), 2);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "drain is prompt"
-        );
     }
 }

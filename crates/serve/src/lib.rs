@@ -1,52 +1,34 @@
-//! Online inference for the CROSSBOW reproduction.
+//! Model snapshots for serving in the CROSSBOW reproduction.
 //!
 //! Training's product — the central average model `z` (§3.1–3.2) — is
-//! what a deployment actually runs. This crate is the serving half of
-//! that train/serve stack, built entirely on std plus the in-repo
-//! bounded channel:
+//! what a deployment actually runs. This crate holds what a serving
+//! stack needs to know about that model; `crossbow-fleet` is the stack
+//! itself (admission, queues, worker pools, load generation):
 //!
 //! * [`registry`] — versioned, immutable [`ModelSnapshot`]s swapped
 //!   atomically under concurrent readers (hot swap without blocking
 //!   in-flight requests), fed either by a live trainer's
 //!   [`PublishHook`](crossbow_sync::PublishHook) or from a checkpoint
 //!   store;
-//! * [`batcher`] — deadline-based micro-batching: serving inverts the
-//!   paper's small-batch thesis, coalescing many independent requests
-//!   into one efficient forward pass (flush on `max_batch` or
-//!   `max_delay`);
-//! * [`server`] — a bounded queue with `Overloaded` admission control, a
-//!   pool of eval-mode inference workers, and a graceful drain that
-//!   answers every admitted request before stopping;
-//! * [`metrics`] — log2-bucketed latency histograms (p50/p95/p99),
-//!   throughput and queue-depth gauges, merged into a [`ServeReport`];
+//! * [`batcher`] — the micro-batching parameters ([`BatchConfig`]):
+//!   flush on `max_batch` or `max_delay`, bounded by `queue_depth`;
 //! * [`snapshot`] — model exchange over the PR-2 checkpoint format
 //!   (export a snapshot durably, serve straight out of a training
 //!   checkpoint directory);
 //! * [`quant_snapshot`] — the `CBQS` quantized snapshot format: a
 //!   versioned, checksummed, atomically-written inference artifact at
 //!   f32, bf16 or per-channel int8 precision, reassembled on load so the
-//!   served bytes match the exporter's exactly;
-//! * [`loadgen`] + [`train_serve`] — closed/open-loop load generators
-//!   and the combined run where a background trainer keeps publishing
-//!   fresher `z` snapshots mid-load.
+//!   served bytes match the exporter's exactly.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod batcher;
-pub mod loadgen;
-pub mod metrics;
 pub mod quant_snapshot;
 pub mod registry;
-pub mod server;
 pub mod snapshot;
-pub mod train_serve;
 
 pub use batcher::BatchConfig;
-pub use loadgen::{run_load, LoadConfig, LoadMode, LoadResult};
-pub use metrics::{Histogram, LatencySummary, ServeReport};
 pub use quant_snapshot::{export_quant_snapshot, load_quant_into, QUANT_SNAPSHOT_FILE};
 pub use registry::{ModelSnapshot, ModelSpec, PublishError, SnapshotRegistry};
-pub use server::{Client, Prediction, ServeConfig, ServeError, Server, Ticket};
 pub use snapshot::{export_snapshot, load_into, ImportError, SNAPSHOT_ALGORITHM};
-pub use train_serve::{train_and_serve, TrainAndServeConfig, TrainAndServeReport};

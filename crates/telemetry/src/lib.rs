@@ -2,7 +2,7 @@
 //!
 //! Every runtime in the workspace — the simulator (`exec_sim`/`gpu-sim`),
 //! the concurrent CPU engine (`exec_cpu`), the synchronous trainer, the
-//! checkpointer, and the inference server — needs to answer the same
+//! checkpointer, and the serving fleet — needs to answer the same
 //! question the paper answers with Figure 8: *where did the time go, and
 //! does synchronisation of iteration N overlap with learning of iteration
 //! N+1?* This crate is the shared substrate they all report against:
@@ -16,8 +16,8 @@
 //!   `chrome://tracing` or Perfetto; [`json`] is the minimal parser used
 //!   to validate emitted traces without external dependencies.
 //! * [`MetricsRegistry`] holds named [`Counter`]s, [`Gauge`]s and
-//!   log2-bucketed [`Histogram`]s (the one implementation, shared with
-//!   `crossbow-serve`).
+//!   log2-bucketed [`Histogram`]s (the one implementation every runtime
+//!   records latencies into).
 //! * the analyzer ([`Timeline::overlap`], [`Timeline::phase_breakdown`],
 //!   [`Timeline::pipeline_overlaps`]) computes the paper-style
 //!   sync–compute overlap ratio and per-phase time breakdown from a
@@ -36,13 +36,10 @@ mod span;
 pub use analyze::{OverlapStats, PhaseBreakdown, PhaseTotal};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use metrics::{
-    Counter, Gauge, GaugeValue, HistogramCell, LatencySummary, MetricsRegistry, MetricsSnapshot,
+    Counter, Gauge, GaugeValue, Histogram, HistogramCell, LatencySummary, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use span::{Recorder, Shard, Span, SpanKind, Timeline};
-
-// Re-export under the historical name too: `serve::metrics` grew the
-// first log2 histogram and other crates import it as `Histogram`.
-pub use metrics::Histogram;
 
 use std::sync::Arc;
 

@@ -1,26 +1,27 @@
 //! Tour of the serving fleet: three models behind one admission edge,
 //! mixed-priority load with SLO-ordered shedding, a canary promotion,
-//! and the Algorithm-2-style autoscaler.
+//! a snapshot round trip through the checkpoint store, and the
+//! Algorithm-2-style autoscaler.
 //!
 //! ```sh
 //! cargo run --release -p crossbow --example fleet_tour
 //! ```
 //!
-//! One `crossbow_serve::Server` runs one model; the fleet is what the
-//! front door looks like when there are many. Each named model gets its
-//! own SLO-ordered queue and elastic worker pool, idle pools steal
-//! batches from spec-compatible peers, an open-loop flood forces the
-//! admission edge to shed its lowest class (never silently), a canary
-//! takes a deterministic fraction of one model's traffic before being
-//! promoted, and the autoscaler probes tail latency and queue depth to
-//! move pool sizes both ways.
+//! The fleet is the serving stack; `crossbow serve` runs it with one
+//! model and the autoscaler off. Each named model gets its own
+//! SLO-ordered queue and elastic worker pool, idle pools steal batches
+//! from spec-compatible peers, an open-loop flood forces the admission
+//! edge to shed its lowest class (never silently), a canary takes a
+//! deterministic fraction of one model's traffic before being promoted,
+//! and the autoscaler probes tail latency and queue depth to move pool
+//! sizes both ways.
 
 use crossbow::fleet::{
     run_fleet_load, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetConfig, SloClass,
     StreamSpec,
 };
 use crossbow::nn::zoo::mlp;
-use crossbow::serve::BatchConfig;
+use crossbow::serve::{export_snapshot, load_into, BatchConfig, ModelSpec, SnapshotRegistry};
 use crossbow::tensor::Rng;
 use std::sync::Arc;
 use std::time::Duration;
@@ -148,7 +149,29 @@ fn main() {
     println!("  {canary_hits} replies served by the canary; promoted to v{v2}");
     assert!(canary_round.versions_monotonic());
 
-    // -- 4. Calm traffic shrinks the pools back --------------------------
+    // -- 4. Snapshots round-trip through the checkpoint store ------------
+    // The promoted model leaves the fleet as a durable checkpoint-format
+    // export and comes back as the first version of a fresh registry.
+    let snapshot = fleet
+        .registry("ranker")
+        .expect("registered")
+        .current()
+        .expect("published");
+    let dir = std::env::temp_dir().join(format!("crossbow-fleet-tour-{}", std::process::id()));
+    export_snapshot(&dir, &snapshot).expect("export");
+    let restored = SnapshotRegistry::new(ModelSpec::of(&net));
+    let version = load_into(&restored, &dir).expect("import").expect("found");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        restored.current().expect("imported").params,
+        snapshot.params
+    );
+    println!(
+        "\ncheckpoint trip: exported ranker v{} -> fresh registry serves v{version}",
+        snapshot.version
+    );
+
+    // -- 5. Calm traffic shrinks the pools back --------------------------
     let specs: Vec<StreamSpec> = names
         .iter()
         .map(|name| StreamSpec {
@@ -166,7 +189,7 @@ fn main() {
         calm.total_ok()
     );
 
-    // -- 5. Drain and report ---------------------------------------------
+    // -- 6. Drain and report ---------------------------------------------
     let report = fleet.shutdown();
     println!("\nfinal report:");
     print!("{}", report.summary());

@@ -1,21 +1,24 @@
-//! Integration tests for the serving fleet: SLO-ordered shedding under
-//! overload, lossless canary promotion mid-load, an autoscaler that
-//! moves both ways, and a live trainer feeding one model of a fleet.
+//! Integration tests for the serving fleet: micro-batching, lossless hot
+//! swaps, graceful drain, SLO-ordered shedding under overload, lossless
+//! canary promotion mid-load, an autoscaler that moves both ways, a live
+//! trainer feeding one model of a fleet, and the admission, batching and
+//! drain behaviour of a single-model, single-class fleet.
 
 use crossbow::data::synth::gaussian_mixture;
 use crossbow::fleet::{
-    run_fleet_load, train_into_fleet, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetConfig,
-    FleetLoadReport, FleetTrainConfig, SloClass, StreamSpec,
+    run_fleet_load, train_into_fleet, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetClient,
+    FleetConfig, FleetError, FleetLoadReport, FleetPrediction, FleetTicket, FleetTrainConfig,
+    SloClass, StreamSpec,
 };
 use crossbow::nn::zoo::mlp;
 use crossbow::nn::Network;
 use crossbow::serve::BatchConfig;
 use crossbow::sync::sma::{Sma, SmaConfig};
 use crossbow::sync::TrainerConfig;
-use crossbow::telemetry::Telemetry;
+use crossbow::telemetry::{SpanKind, Telemetry};
 use crossbow::tensor::{Precision, Rng, Shape, Tensor};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 6;
 
@@ -53,6 +56,23 @@ fn all_answered(report: &FleetLoadReport) -> bool {
         .streams
         .iter()
         .all(|s| s.failed == 0 && s.ok + s.shed + s.rejected == s.submitted)
+}
+
+/// Submits one Standard-class request with a deadline no test reaches.
+fn submit(client: &FleetClient, model: &str, input: Vec<f32>) -> Result<FleetTicket, FleetError> {
+    client.submit(model, input, SloClass::Standard, Duration::from_secs(30))
+}
+
+/// Submits `n` identical requests, each of which must be admitted.
+fn submit_n(client: &FleetClient, model: &str, n: usize) -> Vec<FleetTicket> {
+    (0..n)
+        .map(|_| submit(client, model, vec![0.1; DIM]).expect("admitted"))
+        .collect()
+}
+
+/// Submits one Standard-class request and waits for its answer.
+fn call(client: &FleetClient, model: &str, input: Vec<f32>) -> Result<FleetPrediction, FleetError> {
+    client.call(model, input, SloClass::Standard, Duration::from_secs(5))
 }
 
 fn closed(model: &str, class: SloClass, requests: usize, deadline_ms: u64) -> StreamSpec {
@@ -296,6 +316,7 @@ fn a_live_trainer_feeds_one_fleet_model_mid_load() {
             closed("static", SloClass::Standard, 25, 500),
         ],
         seed: 21,
+        precision: Precision::F32,
     };
     let report = train_into_fleet(fleet, &net, &train_set, &test_set, &mut algo, &config);
 
@@ -343,13 +364,7 @@ fn quantized_canary_serves_exactly_and_survives_promotion() {
     let client = fleet.client();
     let mut scratch = net.scratch();
     for input in inputs(11) {
-        let served = client
-            .submit(
-                &model,
-                input.clone(),
-                SloClass::Standard,
-                Duration::from_secs(5),
-            )
+        let served = submit(&client, &model, input.clone())
             .expect("admitted")
             .wait()
             .expect("answered");
@@ -372,13 +387,7 @@ fn quantized_canary_serves_exactly_and_survives_promotion() {
     assert_eq!(current.accuracy_delta, Some(-0.005));
     assert!(current.quant.is_some());
     for input in inputs(12) {
-        let served = client
-            .submit(
-                &model,
-                input.clone(),
-                SloClass::Standard,
-                Duration::from_secs(5),
-            )
+        let served = submit(&client, &model, input.clone())
             .expect("admitted")
             .wait()
             .expect("answered");
@@ -394,4 +403,579 @@ fn quantized_canary_serves_exactly_and_survives_promotion() {
     let report = fleet.shutdown();
     let m = report.model(&model).expect("registered");
     assert_eq!(m.canary_served, 32, "exactly the pre-promotion requests");
+}
+
+/// With `precision: Int8`, the final consensus model is quantized, its
+/// accuracy delta measured on the test set, and the result published
+/// before the last load round — which therefore serves only at int8.
+#[test]
+fn train_into_fleet_serves_the_final_round_at_int8() {
+    let net = Arc::new(mlp(DIM, &[16], 4));
+    let (train_set, test_set) = gaussian_mixture(4, DIM, 1280, 0.25, 23)
+        .split_at(1024)
+        .expect("split in range");
+    let fleet = Fleet::builder(FleetConfig::default())
+        .model("live", Arc::clone(&net))
+        .start();
+    let registry = fleet.registry("live").expect("registered");
+    let mut algo = Sma::new(net.init_params(&mut Rng::new(23)), 2, SmaConfig::default());
+    let config = FleetTrainConfig {
+        live_model: "live".into(),
+        trainer: TrainerConfig::new(16, 1).with_seed(23),
+        publish_every: 10,
+        load: vec![closed("live", SloClass::Standard, 25, 500)],
+        seed: 23,
+        precision: Precision::Int8,
+    };
+    let report = train_into_fleet(fleet, &net, &train_set, &test_set, &mut algo, &config);
+
+    assert!(all_answered(&report.load), "{}", report.load.summary());
+    assert!(report.load.versions_monotonic());
+    let served = registry.current().expect("published");
+    assert_eq!(served.precision, Precision::Int8);
+    assert!(served.quant.is_some(), "the final snapshot is quantized");
+    let delta = served.accuracy_delta.expect("the delta was measured");
+    assert!((-1.0..=1.0).contains(&delta), "delta {delta}");
+    let final_round = report.load.streams.last().expect("at least one round");
+    assert_eq!(
+        (final_round.min_version, final_round.max_version),
+        (served.version, served.version),
+        "the final round saw only the int8 snapshot"
+    );
+}
+
+/// Coalescing eight concurrent callers into one forward pass must beat
+/// dispatching them one at a time. A fixed synthetic per-batch cost makes
+/// the comparison deterministic: with one worker and a 2 ms charge per
+/// batch, per-request dispatch pays the charge 320 times while an
+/// 8-deep micro-batch pays it roughly 40 times.
+#[test]
+fn micro_batching_beats_per_request_dispatch() {
+    let run = |batch: BatchConfig| {
+        let config = FleetConfig {
+            batch,
+            synthetic_delay: Some(Duration::from_millis(2)),
+            ..FleetConfig::default()
+        };
+        let (fleet, _, names) = fleet_of(1, config);
+        let specs = vec![closed(&names[0], SloClass::Standard, 40, 10_000); 8];
+        let load = run_fleet_load(&fleet.client(), &inputs(9), &specs, 9);
+        let report = fleet.shutdown();
+        assert!(all_answered(&load), "{}", load.summary());
+        assert_eq!(
+            load.total_ok(),
+            320,
+            "the queue is deep enough for 8 callers"
+        );
+        let m = report.model(&names[0]).expect("registered");
+        let mean_batch = m.completed as f64 / m.batches as f64;
+        (mean_batch, load.total_ok() as f64 / load.wall.as_secs_f64())
+    };
+    let (unbatched_mean, unbatched) = run(BatchConfig::unbatched());
+    let (batched_mean, batched) = run(BatchConfig {
+        max_batch: 8,
+        max_delay: Duration::from_millis(1),
+        ..BatchConfig::default()
+    });
+    assert!((unbatched_mean - 1.0).abs() < 1e-9);
+    assert!(
+        batched_mean > 2.0,
+        "coalescing happened: mean batch {batched_mean:.2}"
+    );
+    assert!(
+        batched > unbatched,
+        "micro-batching must beat batch=1: {batched:.0} vs {unbatched:.0} req/s"
+    );
+}
+
+/// Publishing fresh snapshots in the middle of a load run must be
+/// invisible to clients except as rising versions: nothing drops,
+/// nothing fails, and no closed-loop caller ever sees a version regress.
+#[test]
+fn hot_swap_mid_load_loses_nothing() {
+    let config = FleetConfig {
+        initial_workers: 2,
+        synthetic_delay: Some(Duration::from_micros(500)),
+        ..FleetConfig::default()
+    };
+    let (fleet, net, names) = fleet_of(1, config);
+    let model = &names[0];
+    let registry = fleet.registry(model).expect("registered");
+    let fresh = net.init_params(&mut Rng::new(99));
+    let specs = vec![closed(model, SloClass::Standard, 100, 10_000); 4];
+    let client = fleet.client();
+    let payload = inputs(3);
+    let load = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for publication in 0..5 {
+                std::thread::sleep(Duration::from_millis(10));
+                registry
+                    .publish(fresh.clone(), 10 * (publication + 1))
+                    .expect("same shape republished");
+            }
+        });
+        run_fleet_load(&client, &payload, &specs, 3)
+    });
+
+    assert_eq!(
+        load.total_ok(),
+        400,
+        "zero dropped requests across hot swaps"
+    );
+    assert!(all_answered(&load), "{}", load.summary());
+    assert!(load.versions_monotonic(), "versions regressed mid-load");
+    let min = load.streams.iter().map(|s| s.min_version).min();
+    let max = load.streams.iter().map(|s| s.max_version).max();
+    assert!(
+        max > min,
+        "the load must actually straddle a swap: saw versions {min:?}..{max:?}"
+    );
+
+    // After every publication, a fresh request is answered by the newest
+    // snapshot.
+    let latest = call(&client, model, payload[0].clone()).expect("serving still up");
+    assert_eq!(registry.version(), 6);
+    assert_eq!(latest.version, 6);
+    let report = fleet.shutdown();
+    let m = report.model(model).expect("registered");
+    assert_eq!(m.completed, 401);
+    assert_eq!(m.shed + m.rejected, 0);
+    assert_eq!(m.max_version, 6);
+}
+
+/// Every served class equals a direct eval forward of the published
+/// parameters, answered by the published version.
+#[test]
+fn predictions_match_a_direct_eval_forward() {
+    let (fleet, net, names) = fleet_of(1, FleetConfig::default());
+    let model = &names[0];
+    let params = fleet
+        .registry(model)
+        .expect("registered")
+        .current()
+        .expect("published")
+        .params
+        .clone();
+    let client = fleet.client();
+    let mut scratch = net.scratch();
+    for input in inputs(2) {
+        let served = call(&client, model, input.clone()).expect("served");
+        let direct = net.predict(
+            &params,
+            &Tensor::from_vec(Shape::new(&[1, DIM]), input),
+            &mut scratch,
+        );
+        assert_eq!(served.class, direct[0], "fleet matches direct eval");
+        assert_eq!(served.version, 1);
+    }
+    let report = fleet.shutdown();
+    let m = report.model(model).expect("registered");
+    assert_eq!(m.completed, 32);
+    assert_eq!((m.min_version, m.max_version), (1, 1));
+    assert!(m.batches >= 1 && m.batches <= 32);
+    assert!(m.latency.p99 > Duration::ZERO);
+}
+
+/// Submits `n` identical requests to a one-model fleet with the given
+/// batching, waits for every answer, and returns the number of batches
+/// the model executed and how long the answers took.
+fn serve_burst(n: usize, max_batch: usize, max_delay: Duration) -> (u64, Duration) {
+    let config = FleetConfig {
+        batch: BatchConfig {
+            max_batch,
+            max_delay,
+            queue_depth: 8,
+        },
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let started = Instant::now();
+    for t in submit_n(&fleet.client(), &names[0], n) {
+        t.wait().expect("served");
+    }
+    let waited = started.elapsed();
+    let report = fleet.shutdown();
+    (report.model(&names[0]).expect("registered").batches, waited)
+}
+
+/// Batch assembly flushes as soon as `max_batch` requests are in hand,
+/// without waiting out `max_delay`.
+#[test]
+fn flushes_on_max_batch_without_waiting_out_the_delay() {
+    let (batches, waited) = serve_burst(3, 3, Duration::from_secs(60));
+    assert_eq!(batches, 1, "three requests fill one batch of three");
+    assert!(
+        waited < Duration::from_secs(5),
+        "a full batch must not wait for the deadline"
+    );
+}
+
+/// A batch that cannot be filled flushes with whatever arrived once its
+/// oldest request has waited `max_delay`, and not before.
+#[test]
+fn flushes_a_partial_batch_at_the_deadline() {
+    let (batches, waited) = serve_burst(1, 16, Duration::from_millis(20));
+    assert_eq!(batches, 1, "deadline flush with the one request");
+    assert!(
+        waited >= Duration::from_millis(20),
+        "a batch it cannot fill flushes at the deadline, not before"
+    );
+    assert!(waited < Duration::from_secs(5), "the deadline does flush");
+}
+
+/// Once shutdown has begun, a worker assembling a batch takes only what
+/// is already queued instead of waiting out `max_delay` for more.
+#[test]
+fn stopping_takes_the_buffer_without_waiting() {
+    let config = FleetConfig {
+        batch: BatchConfig {
+            max_batch: 2,
+            max_delay: Duration::from_secs(20),
+            queue_depth: 8,
+        },
+        // Each forward pass outlasts the submit-then-shutdown below, so
+        // the partial last batch is assembled after shutdown began.
+        synthetic_delay: Some(Duration::from_millis(300)),
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let tickets = submit_n(&fleet.client(), &names[0], 5);
+    let started = Instant::now();
+    let report = fleet.shutdown();
+    let drained_in = started.elapsed();
+    for t in tickets {
+        t.wait().expect("drained, not dropped");
+    }
+    let m = report.model(&names[0]).expect("registered");
+    assert_eq!(m.completed, 5);
+    assert_eq!(m.batches, 3, "two full batches, then the buffered one");
+    assert!(
+        drained_in < Duration::from_secs(10),
+        "drain is prompt: {drained_in:?} against a 20 s batching delay"
+    );
+}
+
+/// An open stream paced well under capacity gets every request answered,
+/// and the pacing itself takes the scheduled time.
+#[test]
+fn open_loop_completes_every_request_at_a_feasible_rate() {
+    let (fleet, _, names) = fleet_of(1, FleetConfig::default());
+    let spec = [StreamSpec {
+        model: names[0].clone(),
+        class: SloClass::Standard,
+        arrival: Arrival::Open { rps: 2000.0 },
+        requests: 60,
+        deadline: Duration::from_secs(5),
+    }];
+    let load = run_fleet_load(&fleet.client(), &inputs(9), &spec, 9);
+    fleet.shutdown();
+    assert!(all_answered(&load), "{}", load.summary());
+    assert_eq!(load.total_ok(), 60);
+    // Pacing 60 arrivals at 2000/s takes at least ~30 ms.
+    assert!(load.wall >= Duration::from_millis(25));
+}
+
+/// A caller's bounded wait gives up with a typed error while the worker
+/// is busy; the abandoned request is still served.
+#[test]
+fn wait_deadline_times_out_with_a_typed_error() {
+    let config = FleetConfig {
+        // A long per-batch charge so the second request is still
+        // unanswered when its caller gives up.
+        synthetic_delay: Some(Duration::from_millis(200)),
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let model = &names[0];
+    let [first, second]: [FleetTicket; 2] = submit_n(&fleet.client(), model, 2)
+        .try_into()
+        .expect("two tickets");
+    assert_eq!(
+        second.wait_deadline(Duration::from_millis(1)),
+        Err(FleetError::Deadline),
+        "a bounded wait must not hang on a busy worker"
+    );
+    first
+        .wait_deadline(Duration::from_secs(30))
+        .expect("served within the bound");
+    let report = fleet.shutdown();
+    assert_eq!(
+        report.model(model).expect("registered").completed,
+        2,
+        "abandoned tickets still complete"
+    );
+}
+
+/// Shutdown answers every admitted request with a prediction before the
+/// workers stop, records the backlog in the queue-depth high-water mark,
+/// and refuses anything submitted afterwards.
+#[test]
+fn shutdown_drains_admitted_requests_before_stopping() {
+    let config = FleetConfig {
+        batch: BatchConfig {
+            max_batch: 4,
+            max_delay: Duration::from_millis(1),
+            queue_depth: 64,
+        },
+        synthetic_delay: Some(Duration::from_millis(5)),
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let model = &names[0];
+    let client = fleet.client();
+    let tickets = submit_n(&client, model, 8);
+    let report = fleet.shutdown();
+    for t in tickets {
+        t.wait().expect("drained, not dropped");
+    }
+    let m = report.model(model).expect("registered");
+    assert_eq!(m.completed, 8);
+    assert!(m.max_queue_depth >= 1, "the backlog reached the gauge");
+    assert_eq!(
+        submit(&client, model, vec![0.2; DIM]).err(),
+        Some(FleetError::ShuttingDown)
+    );
+}
+
+/// A telemetry sink collects one batch-fetch and one infer span per
+/// executed batch, and the per-model admission metrics.
+#[test]
+fn telemetry_sink_collects_spans_and_admission_metrics() {
+    let telemetry = Telemetry::wall();
+    let config = FleetConfig {
+        telemetry: Some(telemetry.clone()),
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let model = &names[0];
+    let client = fleet.client();
+    for input in inputs(4).into_iter().take(6) {
+        call(&client, model, input).expect("served");
+    }
+    let report = fleet.shutdown();
+    let batches = report.model(model).expect("registered").batches;
+    let timeline = telemetry.recorder.timeline();
+    assert_eq!(timeline.count(SpanKind::Infer) as u64, batches);
+    assert_eq!(timeline.count(SpanKind::BatchFetch) as u64, batches);
+    assert!(timeline.phase_breakdown().total_ns(SpanKind::Infer) > 0);
+    let snap = telemetry.metrics.snapshot();
+    assert_eq!(snap.counters[&format!("fleet.{model}.completed")], 6);
+    assert_eq!(snap.counters[&format!("fleet.{model}.rejected")], 0);
+    assert!(snap
+        .gauges
+        .contains_key(&format!("fleet.{model}.queue_depth")));
+}
+
+/// Four closed clients against a two-worker pool get every request
+/// answered by the one published version.
+#[test]
+fn closed_loop_completes_every_request() {
+    let config = FleetConfig {
+        initial_workers: 2,
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let specs = vec![closed(&names[0], SloClass::Standard, 25, 5_000); 4];
+    let load = run_fleet_load(&fleet.client(), &inputs(9), &specs, 9);
+    let report = fleet.shutdown();
+    let submitted: u64 = load.streams.iter().map(|s| s.submitted).sum();
+    let refused: u64 = load.streams.iter().map(|s| s.rejected + s.failed).sum();
+    assert_eq!(submitted, 100);
+    assert_eq!(load.total_ok(), 100);
+    assert_eq!(refused, 0);
+    assert!(load.versions_monotonic());
+    for s in &load.streams {
+        assert_eq!((s.min_version, s.max_version), (1, 1));
+    }
+    assert!(load.wall > Duration::ZERO);
+    assert_eq!(report.model(&names[0]).expect("registered").completed, 100);
+}
+
+/// A quantized snapshot published straight into the registry is served
+/// through the exact-integer forward.
+#[test]
+fn a_quantized_snapshot_serves_through_the_quant_path() {
+    let net = Arc::new(mlp(DIM, &[16], 4));
+    let fleet = Fleet::builder(FleetConfig::default())
+        .model("int8", Arc::clone(&net))
+        .start();
+    let registry = fleet.registry("int8").expect("registered");
+    let quant = Arc::new(net.quantize(&net.init_params(&mut Rng::new(1)), Precision::Int8));
+    registry
+        .publish_quantized(Arc::clone(&quant), 11, Some(-0.01))
+        .expect("the quantized model fits the spec");
+    let client = fleet.client();
+    let mut scratch = net.scratch();
+    for input in inputs(9).into_iter().take(12) {
+        let served = call(&client, "int8", input.clone()).expect("served");
+        let direct = net.predict_quant(
+            &quant,
+            &Tensor::from_vec(Shape::new(&[1, DIM]), input),
+            &mut scratch,
+        );
+        assert_eq!(served.class, direct[0], "fleet matches the int8 forward");
+        assert_eq!(served.version, 1);
+    }
+    let report = fleet.shutdown();
+    assert_eq!(report.model("int8").expect("registered").completed, 12);
+    let current = registry.current().expect("published");
+    assert_eq!(current.precision, Precision::Int8);
+    assert_eq!(current.accuracy_delta, Some(-0.01));
+}
+
+/// A request for a model with nothing published yet is answered
+/// `NoModel`, and no version is ever recorded as served.
+#[test]
+fn requests_before_the_first_publication_answer_no_model() {
+    let net = Arc::new(mlp(DIM, &[16], 4));
+    let fleet = Fleet::builder(FleetConfig::default())
+        .model("empty", net)
+        .start();
+    assert_eq!(
+        call(&fleet.client(), "empty", vec![0.0; DIM]),
+        Err(FleetError::NoModel)
+    );
+    let report = fleet.shutdown();
+    let m = report.model("empty").expect("registered");
+    assert_eq!(m.no_model, 1);
+    assert_eq!(m.completed, 0);
+    assert_eq!(m.min_version, 0, "no version ever served");
+}
+
+/// An input of the wrong length is refused with a typed error before it
+/// reaches the queue.
+#[test]
+fn mis_shaped_inputs_are_refused_at_admission() {
+    let (fleet, _, names) = fleet_of(1, FleetConfig::default());
+    assert_eq!(
+        submit(&fleet.client(), &names[0], vec![0.0; DIM + 1]).err(),
+        Some(FleetError::BadRequest {
+            expected: DIM,
+            got: DIM + 1
+        })
+    );
+    let report = fleet.shutdown();
+    assert_eq!(report.model(&names[0]).expect("registered").completed, 0);
+}
+
+/// A burst into a depth-2 queue in front of a slow worker is partly
+/// refused `Overloaded`; everything admitted is still answered.
+#[test]
+fn a_full_queue_rejects_with_overloaded() {
+    let config = FleetConfig {
+        batch: BatchConfig {
+            max_batch: 1,
+            max_delay: Duration::ZERO,
+            queue_depth: 2,
+        },
+        // Slow the worker down so the burst genuinely overflows the
+        // bounded queue.
+        synthetic_delay: Some(Duration::from_millis(50)),
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let client = fleet.client();
+    let mut tickets = Vec::new();
+    let mut rejected = 0u64;
+    for _ in 0..10 {
+        match submit(&client, &names[0], vec![0.1; DIM]) {
+            Ok(t) => tickets.push(t),
+            Err(FleetError::Overloaded) => rejected += 1,
+            Err(other) => panic!("unexpected {other:?}"),
+        }
+    }
+    assert!(rejected > 0, "the burst must overflow a depth-2 queue");
+    let admitted = tickets.len() as u64;
+    for t in tickets {
+        t.wait().expect("admitted requests complete");
+    }
+    let report = fleet.shutdown();
+    let m = report.model(&names[0]).expect("registered");
+    assert_eq!(m.completed, admitted);
+    assert_eq!(m.rejected, rejected);
+    assert!(m.max_queue_depth >= 1);
+}
+
+/// Six one-request batches behind a slow worker: each flush re-samples
+/// the queue-depth gauge, so its high-water mark sees the backlog.
+#[test]
+fn queue_depth_high_water_is_recorded_at_flush_not_only_submit() {
+    let telemetry = Telemetry::wall();
+    let config = FleetConfig {
+        batch: BatchConfig {
+            max_batch: 1,
+            max_delay: Duration::ZERO,
+            queue_depth: 64,
+        },
+        synthetic_delay: Some(Duration::from_millis(5)),
+        telemetry: Some(telemetry.clone()),
+        ..FleetConfig::default()
+    };
+    let (fleet, _, names) = fleet_of(1, config);
+    let model = &names[0];
+    for t in submit_n(&fleet.client(), model, 6) {
+        t.wait().expect("served");
+    }
+    let report = fleet.shutdown();
+    let m = report.model(model).expect("registered");
+    assert_eq!(m.completed, 6);
+    assert_eq!(m.batches, 6);
+    assert!(
+        telemetry
+            .metrics
+            .gauge(format!("fleet.{model}.queue_depth"))
+            .max()
+            >= 1,
+        "flush-time sampling must observe the backlog"
+    );
+    assert!(m.max_queue_depth >= 1);
+}
+
+/// The combined run: a background trainer keeps publishing the central
+/// average model `z` while load runs in the foreground. Readers observe
+/// monotonically increasing versions and zero dropped requests.
+#[test]
+fn train_into_fleet_publishes_fresh_models_under_load() {
+    // Big enough that training genuinely overlaps the load: the first
+    // load round must complete requests while early versions are still
+    // current, or the mid-load straddle below would be vacuous.
+    let net = Arc::new(mlp(64, &[256, 256], 10));
+    let (train_set, test_set) = gaussian_mixture(10, 64, 2176, 0.3, 5)
+        .split_at(2048)
+        .expect("split in range");
+    let mut algo = Sma::new(net.init_params(&mut Rng::new(5)), 4, SmaConfig::default());
+    let fleet = Fleet::builder(FleetConfig {
+        initial_workers: 2,
+        ..FleetConfig::default()
+    })
+    .model("live", Arc::clone(&net))
+    .start();
+    let config = FleetTrainConfig {
+        live_model: "live".into(),
+        trainer: TrainerConfig::new(16, 4).with_seed(5),
+        publish_every: 2,
+        load: vec![closed("live", SloClass::Standard, 25, 10_000); 2],
+        seed: 13,
+        precision: Precision::F32,
+    };
+    let report = train_into_fleet(fleet, &net, &train_set, &test_set, &mut algo, &config);
+
+    let load = &report.load;
+    assert!(report.curve.iterations > 0, "the trainer ran");
+    assert!(all_answered(load), "{}", load.summary());
+    let refused: u64 = load.streams.iter().map(|s| s.rejected + s.shed).sum();
+    assert_eq!(refused, 0, "zero rejected requests");
+    assert!(load.total_ok() >= 50, "at least one full round completed");
+    assert!(load.versions_monotonic(), "a client saw a version regress");
+    let versions = load.streams.iter().map(|s| (s.min_version, s.max_version));
+    let min = versions.clone().map(|v| v.0).min().unwrap_or(0);
+    let max = versions.map(|v| v.1).max().unwrap_or(0);
+    assert!(
+        max > min,
+        "training published fresh snapshots mid-load: versions {min}..{max}"
+    );
+    let m = report.fleet.model("live").expect("registered");
+    assert_eq!(m.rejected, 0);
+    assert_eq!(m.completed, load.total_ok());
+    assert!(m.max_version >= max);
 }

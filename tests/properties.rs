@@ -212,82 +212,13 @@ fn sampler_partitions_epochs() {
     }
 }
 
-/// A random `LoadResult` with self-consistent counts and version range.
-fn random_load_result(rng: &mut Rng) -> crossbow::serve::LoadResult {
-    use std::time::Duration;
-    let ok = rng.next_u64() % 100;
-    let rejected = rng.next_u64() % 20;
-    let failed = rng.next_u64() % 10;
-    let (min_version, max_version) = if ok == 0 {
-        (u64::MAX, 0)
-    } else {
-        let lo = 1 + rng.next_u64() % 8;
-        (lo, lo + rng.next_u64() % 8)
-    };
-    crossbow::serve::LoadResult {
-        submitted: ok + rejected + failed,
-        ok,
-        rejected,
-        failed,
-        client_panics: rng.next_u64() % 2,
-        versions_monotonic: rng.bernoulli(0.8),
-        min_version,
-        max_version,
-        wall: Duration::from_millis(1 + rng.next_u64() % 500),
-        throughput: 0.0,
-    }
-}
-
-/// Merging load rounds is associative and commutative for every count,
-/// for the observed version range, and for the total wall clock (the
-/// monotonicity verdict is deliberately order-sensitive: it checks the
-/// version boundary between an earlier and a later round).
-#[test]
-fn load_result_merge_counts_are_associative_and_commutative() {
-    let counts = |r: &crossbow::serve::LoadResult| {
-        (
-            r.submitted,
-            r.ok,
-            r.rejected,
-            r.failed,
-            r.client_panics,
-            r.min_version,
-            r.max_version,
-            r.wall,
-        )
-    };
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x10AD ^ case);
-        let a = random_load_result(&mut rng);
-        let b = random_load_result(&mut rng);
-        let c = random_load_result(&mut rng);
-        assert_eq!(
-            counts(&a.merged_with(&b)),
-            counts(&b.merged_with(&a)),
-            "case {case}: commutativity"
-        );
-        assert_eq!(
-            counts(&a.merged_with(&b).merged_with(&c)),
-            counts(&a.merged_with(&b.merged_with(&c))),
-            "case {case}: associativity"
-        );
-        // The monotonicity verdict is associative too: both groupings
-        // check the same pairwise version boundaries.
-        assert_eq!(
-            a.merged_with(&b).merged_with(&c).versions_monotonic,
-            a.merged_with(&b.merged_with(&c)).versions_monotonic,
-            "case {case}: verdict associativity"
-        );
-    }
-}
-
 /// Merging two latency histograms keeps every reported quantile within
 /// the bucket bounds of its inputs: the merged p50/p95/p99 can never
 /// fall below both inputs' value or rise above both (a mixture's
 /// quantile is bracketed by its components').
 #[test]
 fn merged_histograms_preserve_quantile_bucket_bounds() {
-    use crossbow::serve::Histogram;
+    use crossbow::telemetry::Histogram;
     use std::time::Duration;
     for case in 0..CASES {
         let mut rng = Rng::new(0x4157 ^ case);
