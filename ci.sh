@@ -74,6 +74,12 @@ echo "== benchmark smoke (perf/check.sh --smoke) =="
 # against BENCHMARK.json.
 timeout 600 perf/check.sh --smoke
 
+echo "== benchmark harness unit tests =="
+# The harness's own tests: percentile and best-window statistics, layer
+# shares that sum to one, the seeded load schedule, the CLI and result
+# line contract, and that BENCHMARK.json is the catalogue it renders.
+cargo test --release --offline --manifest-path perf/Cargo.toml
+
 echo "== trace validity =="
 # A short traced run must emit parseable Chrome Trace JSON holding the
 # learning, local-sync and global-sync spans (the --check mode of the

@@ -21,7 +21,7 @@ use crate::autoscaler::{decide, AutoscalerConfig, Observation, ScaleDecision};
 use crate::queue::{Admission, SloQueue};
 use crate::report::{FleetReport, ModelReport};
 use crate::request::{FleetError, FleetJob, FleetPrediction, FleetTicket, SloClass};
-use crate::router::{routes_to_canary, CandidateMode, ModelRouter};
+use crate::router::{routes_to_canary, CandidateMode, ModelRouter, Weights};
 use crossbow_nn::{Network, QuantizedModel, Scratch};
 use crossbow_serve::{BatchConfig, ModelSpec, SnapshotRegistry};
 use crossbow_telemetry::{
@@ -694,12 +694,12 @@ fn collect_batch(
     batch
 }
 
-/// Runs one forward pass over `jobs`' inputs: the quantized path when
-/// `quant` is set, the plain f32 eval path on `params` otherwise.
+/// Runs one forward pass over `jobs`' inputs: the exact-integer kernels
+/// for an int8 model, the f32 forward on pre-packed dense weights
+/// otherwise (the classes of `predict`, bit for bit).
 fn forward(
     net: &Network,
-    params: &[f32],
-    quant: Option<&QuantizedModel>,
+    weights: Weights<'_>,
     jobs: &[FleetJob],
     spec: &ModelSpec,
     config: &FleetConfig,
@@ -716,9 +716,9 @@ fn forward(
         std::thread::sleep(delay);
     }
     let input = Tensor::from_vec(Shape::new(&dims), data);
-    match quant {
-        Some(model) => net.predict_quant(model, &input, scratch),
-        None => net.predict(params, &input, scratch),
+    match weights {
+        Weights::Packed { params, packed } => net.predict_packed(params, packed, &input, scratch),
+        Weights::Int8(model) => net.predict_quant(model, &input, scratch),
     }
 }
 
@@ -757,8 +757,7 @@ fn serve_batch(
     if !primary_jobs.is_empty() {
         let classes = forward(
             &rt.net,
-            &plan.primary.params,
-            plan.primary.quant.as_deref(),
+            plan.primary_weights(&rt.net),
             &primary_jobs,
             &spec,
             config,
@@ -774,8 +773,7 @@ fn serve_batch(
             let shadow_started = Instant::now();
             let shadow = forward(
                 &rt.net,
-                &route.params,
-                route.quant.as_deref(),
+                route.weights(&rt.net),
                 &primary_jobs,
                 &spec,
                 config,
@@ -794,8 +792,7 @@ fn serve_batch(
             .expect("canary jobs imply candidate");
         let classes = forward(
             &rt.net,
-            &route.params,
-            route.quant.as_deref(),
+            route.weights(&rt.net),
             &canary_jobs,
             &spec,
             config,
@@ -1027,6 +1024,47 @@ mod tests {
             "the idle pool must take some of the backlog"
         );
         assert_eq!(report.model("idle").unwrap().completed, 0);
+    }
+
+    /// A worker already assembling a batch when shutdown begins stops
+    /// waiting for more: the closed queue can deliver nothing, so the
+    /// drain does not sit out the rest of `max_delay`.
+    #[test]
+    fn shutdown_does_not_wait_out_max_delay_in_batch_assembly() {
+        let config = FleetConfig {
+            batch: BatchConfig {
+                max_batch: 16,
+                max_delay: Duration::from_secs(30),
+                queue_depth: 8,
+            },
+            ..FleetConfig::default()
+        };
+        let fleet = fleet_of(&["slow"], config);
+        let ticket = fleet
+            .client()
+            .submit(
+                "slow",
+                vec![0.1; 4],
+                SloClass::Standard,
+                Duration::from_secs(60),
+            )
+            .expect("admitted");
+        // Once the worker has taken the request it waits in batch
+        // assembly for up to 15 more.
+        while !fleet.inner.models[0].queue.is_empty() {
+            std::thread::yield_now();
+        }
+        let started = Instant::now();
+        let report = fleet.shutdown();
+        let drained_in = started.elapsed();
+        ticket
+            .wait_deadline(Duration::from_secs(1))
+            .expect("answered by the drain");
+        assert!(
+            drained_in < Duration::from_secs(5),
+            "the drain took {drained_in:?} against a 30 s max_delay"
+        );
+        assert_eq!(report.model("slow").unwrap().completed, 1);
     }
 
     #[test]

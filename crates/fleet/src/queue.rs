@@ -144,13 +144,17 @@ impl SloQueue {
         Some(state.entries.remove(best).expect("index from best()").job)
     }
 
-    /// Takes the best queued job, waiting up to `timeout` for one.
+    /// Takes the best queued job, waiting up to `timeout` for one. A
+    /// closed, empty queue returns `None` at once: nothing can arrive.
     pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<FleetJob> {
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
             if let Some(best) = state.best() {
                 return Some(state.entries.remove(best).expect("index from best()").job);
+            }
+            if state.closed {
+                return None;
             }
             let remaining = deadline.checked_duration_since(Instant::now())?;
             let (next, timed_out) = self
@@ -303,6 +307,32 @@ mod tests {
         let (a, _ra) = job(7, SloClass::Standard, 10);
         q.push(a).unwrap();
         assert_eq!(popper.join().unwrap(), Some(7));
+    }
+
+    #[test]
+    fn pop_timeout_returns_when_an_empty_queue_closes() {
+        let q = std::sync::Arc::new(SloQueue::new(4));
+        let (waiting_tx, waiting_rx) = mpsc::channel();
+        let popper = {
+            let q = std::sync::Arc::clone(&q);
+            std::thread::spawn(move || {
+                waiting_tx.send(()).unwrap();
+                let started = Instant::now();
+                (
+                    q.pop_timeout(Duration::from_secs(30)).is_none(),
+                    started.elapsed(),
+                )
+            })
+        };
+        waiting_rx.recv().unwrap();
+        q.close();
+        let (empty, waited) = popper.join().unwrap();
+        assert!(empty);
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+        // Closed and empty before the call: no wait at all.
+        let started = Instant::now();
+        assert!(q.pop_timeout(Duration::from_secs(30)).is_none());
+        assert!(started.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! next version), `abort` discards it; both are atomic with respect to
 //! in-flight batches, which finish on whichever plan they already took.
 
-use crossbow_nn::QuantizedModel;
+use crossbow_nn::{Network, PackedDense, QuantizedModel};
 use crossbow_serve::{ModelSnapshot, PublishError, SnapshotRegistry};
-use std::sync::{Arc, Mutex};
+use crossbow_tensor::Precision;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How a staged candidate receives traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,22 +40,62 @@ pub enum CandidateMode {
 
 #[derive(Clone, Debug)]
 struct Candidate {
-    params: Arc<Vec<f32>>,
-    /// Quantized serving form of the candidate (`None` = plain f32).
-    quant: Option<Arc<QuantizedModel>>,
+    route: CandidateRoute,
     /// Accuracy delta vs f32 measured at staging time, carried into the
     /// primary snapshot on promotion.
     accuracy_delta: Option<f32>,
-    mode: CandidateMode,
+}
+
+/// A staged candidate's weights.
+#[derive(Clone, Debug)]
+pub(crate) enum CandidateModel {
+    /// Plain f32 parameters.
+    F32(Arc<Vec<f32>>),
+    /// A quantized model; its effective parameters are read in place.
+    Quantized(Arc<QuantizedModel>),
+}
+
+impl CandidateModel {
+    fn params(&self) -> &[f32] {
+        match self {
+            CandidateModel::F32(params) => params,
+            CandidateModel::Quantized(quant) => quant.params(),
+        }
+    }
 }
 
 /// One side of a batch's routing plan: what answers (or mirrors) the
 /// candidate's share of traffic.
 #[derive(Clone, Debug)]
 pub(crate) struct CandidateRoute {
-    pub params: Arc<Vec<f32>>,
-    pub quant: Option<Arc<QuantizedModel>>,
+    pub model: CandidateModel,
+    /// The f32 and bf16 serving form, packed on first use like a
+    /// snapshot's; every clone of the route shares it.
+    packed: Arc<OnceLock<PackedDense>>,
     pub mode: CandidateMode,
+}
+
+impl CandidateRoute {
+    fn new(model: CandidateModel, mode: CandidateMode) -> Self {
+        CandidateRoute {
+            model,
+            packed: Arc::new(OnceLock::new()),
+            mode,
+        }
+    }
+
+    /// The weights the candidate serves with.
+    pub fn weights(&self, net: &Network) -> Weights<'_> {
+        match &self.model {
+            CandidateModel::Quantized(quant) if quant.precision() == Precision::Int8 => {
+                Weights::Int8(quant)
+            }
+            model => Weights::Packed {
+                params: model.params(),
+                packed: self.packed.get_or_init(|| net.pack_dense(model.params())),
+            },
+        }
+    }
 }
 
 /// A batch's routing plan, taken once per batch so every job in it sees
@@ -63,6 +104,30 @@ pub(crate) struct CandidateRoute {
 pub(crate) struct RoutePlan {
     pub primary: Arc<ModelSnapshot>,
     pub candidate: Option<CandidateRoute>,
+}
+
+impl RoutePlan {
+    /// The weights the primary serves with.
+    pub fn primary_weights(&self, net: &Network) -> Weights<'_> {
+        match &self.primary.quant {
+            Some(quant) if quant.precision() == Precision::Int8 => Weights::Int8(quant),
+            _ => Weights::Packed {
+                params: &self.primary.params,
+                packed: self.primary.packed_dense(net),
+            },
+        }
+    }
+}
+
+/// What one forward pass runs on.
+pub(crate) enum Weights<'a> {
+    /// f32 or bf16 parameters with their dense weights pre-packed.
+    Packed {
+        params: &'a [f32],
+        packed: &'a PackedDense,
+    },
+    /// An int8 model through the exact-integer kernels.
+    Int8(&'a QuantizedModel),
 }
 
 /// Primary registry plus an optional staged candidate.
@@ -101,10 +166,8 @@ impl ModelRouter {
             });
         }
         *self.candidate.lock().expect("router lock poisoned") = Some(Candidate {
-            params: Arc::new(params),
-            quant: None,
+            route: CandidateRoute::new(CandidateModel::F32(Arc::new(params)), mode),
             accuracy_delta: None,
-            mode,
         });
         Ok(())
     }
@@ -132,10 +195,8 @@ impl ModelRouter {
             });
         }
         *self.candidate.lock().expect("router lock poisoned") = Some(Candidate {
-            params: Arc::new(quant.params().to_vec()),
-            quant: Some(quant),
+            route: CandidateRoute::new(CandidateModel::Quantized(quant), mode),
             accuracy_delta,
-            mode,
         });
         Ok(())
     }
@@ -153,14 +214,14 @@ impl ModelRouter {
             .lock()
             .expect("router lock poisoned")
             .take()?;
-        let version = match candidate.quant {
-            Some(quant) => self
+        let version = match candidate.route.model {
+            CandidateModel::Quantized(quant) => self
                 .primary
                 .publish_quantized(quant, iteration, candidate.accuracy_delta)
                 .expect("staged candidate already validated against the spec"),
-            None => self
+            CandidateModel::F32(params) => self
                 .primary
-                .publish(candidate.params.as_ref().clone(), iteration)
+                .publish(params.as_ref().clone(), iteration)
                 .expect("staged candidate already validated against the spec"),
         };
         Some(version)
@@ -194,11 +255,7 @@ impl ModelRouter {
             .lock()
             .expect("router lock poisoned")
             .as_ref()
-            .map(|c| CandidateRoute {
-                params: Arc::clone(&c.params),
-                quant: c.quant.as_ref().map(Arc::clone),
-                mode: c.mode,
-            });
+            .map(|c| c.route.clone());
         Some(RoutePlan { primary, candidate })
     }
 }
@@ -296,8 +353,14 @@ mod tests {
             .unwrap();
         let plan = router.plan().unwrap();
         let route = plan.candidate.as_ref().unwrap();
-        assert!(route.quant.is_some(), "candidate carries the quant model");
-        assert_eq!(route.params.as_slice(), model.params());
+        match &route.model {
+            CandidateModel::Quantized(quant) => assert!(
+                std::ptr::eq(quant.params(), model.params()),
+                "the route reads the staged model's parameters, not a copy"
+            ),
+            CandidateModel::F32(_) => panic!("candidate carries the quant model"),
+        }
+        assert!(matches!(route.weights(&net), Weights::Int8(_)));
 
         assert_eq!(router.promote(9), Some(2));
         let current = registry.current().unwrap();

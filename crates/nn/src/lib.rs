@@ -34,9 +34,11 @@ pub mod loss;
 pub mod network;
 pub mod profile;
 pub mod quant;
+pub mod served;
 pub mod zoo;
 
 pub use layer::{Layer, Slot};
 pub use network::{NetPlan, Network, Scratch};
 pub use profile::ModelProfile;
 pub use quant::{accuracy_delta, QuantDense, QuantizedModel};
+pub use served::PackedDense;

@@ -306,10 +306,12 @@ impl Network {
     /// Runs an inference-mode forward pass over a batch, returning
     /// `[batch, classes]` logits.
     ///
-    /// This is the serving entry point: the scratch workspace is left
-    /// empty (no backward state is retained) and no layer statistics are
-    /// mutated, so repeated calls with the same inputs are bit-identical
-    /// and a single scratch can be reused across requests indefinitely.
+    /// This is the reference eval path (serving runs the same arithmetic
+    /// on pre-packed weights, [`Network::forward_eval_packed`]): the
+    /// scratch workspace is left empty (no backward state is retained)
+    /// and no layer statistics are mutated, so repeated calls with the
+    /// same inputs are bit-identical and a single scratch can be reused
+    /// across requests indefinitely.
     ///
     /// # Panics
     /// Panics if `params` or the batch shape do not match the network.
@@ -320,10 +322,15 @@ impl Network {
     /// Inference-mode forward returning the argmax class per sample.
     pub fn predict(&self, params: &[f32], batch: &Tensor, scratch: &mut Scratch) -> Vec<usize> {
         let logits = self.forward_eval(params, batch, scratch);
-        let classes = self.output_classes;
+        self.argmax_rows(logits, scratch)
+    }
+
+    /// The argmax class of each row of `[batch, classes]` logits; the
+    /// logits go back to the scratch arena.
+    pub(crate) fn argmax_rows(&self, logits: Tensor, scratch: &mut Scratch) -> Vec<usize> {
         let out = logits
             .data()
-            .chunks_exact(classes)
+            .chunks_exact(self.output_classes)
             .map(|row| {
                 row.iter()
                     .enumerate()

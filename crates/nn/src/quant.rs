@@ -4,8 +4,9 @@
 //! vector (at snapshot-export time) and then served read-only. Training
 //! never sees it.
 //!
-//! * **f32** — a plain copy of the parameters; serving is exactly
-//!   [`Network::forward_eval`].
+//! * **f32** — a plain copy of the parameters; its forward is exactly
+//!   [`Network::forward_eval`] (a fleet serves it, like bf16, on dense
+//!   weights packed once — [`crate::served`] — with the same bits).
 //! * **bf16** — parameters round-trip through bfloat16 at build time;
 //!   serving runs the unchanged `f32` compute path on the decoded
 //!   values, so the only difference from f32 serving is the 8-bit
@@ -24,6 +25,7 @@
 
 use crate::loss::accuracy;
 use crate::network::{Network, Scratch};
+use crate::served::DenseOp;
 use crossbow_tensor::quant::{bf16_decode, bf16_encode, PackedQuantLinear, QuantLinear};
 use crossbow_tensor::{Precision, Shape, Tensor};
 
@@ -204,42 +206,12 @@ impl Network {
         if model.precision != Precision::Int8 {
             return self.forward_eval(&model.params, batch, scratch);
         }
-        assert_eq!(
-            scratch.slots.len(),
-            self.layers().len(),
-            "scratch from a different network"
-        );
-        let mut x = scratch.ws.take_tensor(batch.shape().clone());
-        x.copy_from(batch);
-        for (i, layer) in self.layers().iter().enumerate() {
-            let range = self.param_range(i);
-            let y = match &model.dense[i] {
-                Some(qd) => {
-                    let (in_f, out_f) = (qd.packed.cols(), qd.packed.rows());
-                    let b = x.len() / in_f;
-                    let bias = &model.params[range.start + in_f * out_f..range.end];
-                    let mut out = scratch.ws.take_tensor([b, out_f]);
-                    qd.packed
-                        .forward_batch(x.data(), &mut scratch.quant_xq, out.data_mut());
-                    for yrow in out.data_mut().chunks_exact_mut(out_f) {
-                        for (o, &bv) in yrow.iter_mut().zip(bias) {
-                            *o += bv;
-                        }
-                    }
-                    out
-                }
-                None => layer.forward(
-                    &model.params[range],
-                    &x,
-                    &mut scratch.slots[i],
-                    &mut scratch.ws,
-                    false,
-                ),
-            };
-            scratch.ws.recycle(std::mem::replace(&mut x, y));
-        }
-        let b = x.len() / self.output_classes();
-        x.reshape([b, self.output_classes()])
+        self.forward_served(
+            &model.params,
+            |i| model.dense[i].as_ref().map(|qd| DenseOp::Int8(&qd.packed)),
+            batch,
+            scratch,
+        )
     }
 
     /// Quantized-model forward returning the argmax class per sample.
@@ -250,19 +222,7 @@ impl Network {
         scratch: &mut Scratch,
     ) -> Vec<usize> {
         let logits = self.forward_eval_quant(model, batch, scratch);
-        let classes = self.output_classes();
-        let out = logits
-            .data()
-            .chunks_exact(classes)
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map_or(0, |(c, _)| c)
-            })
-            .collect();
-        scratch.ws.recycle(logits);
-        out
+        self.argmax_rows(logits, scratch)
     }
 
     /// Evaluates a quantized model's accuracy over a labelled set, in

@@ -9,11 +9,11 @@
 //! versions only ever grow, two reads ordered in time always observe
 //! non-decreasing versions.
 
-use crossbow_nn::{Network, QuantizedModel};
+use crossbow_nn::{Network, PackedDense, QuantizedModel};
 use crossbow_sync::PublishHook;
 use crossbow_tensor::Precision;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The shape contract a snapshot must satisfy to be servable by a given
 /// network: parameter count, per-sample input shape and class count.
@@ -46,7 +46,8 @@ impl ModelSpec {
 /// An immutable published model: weights plus provenance metadata.
 ///
 /// Snapshots are shared as `Arc<ModelSnapshot>`; once published they are
-/// never mutated, so a worker thread can keep computing against one while
+/// never mutated (the packed dense weights are derived from `params` once,
+/// on first use), so a worker thread can keep computing against one while
 /// a newer version is being swapped in.
 #[derive(Clone, Debug)]
 pub struct ModelSnapshot {
@@ -67,9 +68,26 @@ pub struct ModelSnapshot {
     /// source, measured at quantization time (`None` for f32 snapshots
     /// or when no eval set was available).
     pub accuracy_delta: Option<f32>,
-    /// The quantized serving form; `None` means workers run the plain
-    /// f32 forward on `params`.
+    /// The quantized serving form. Workers serve an int8 model through
+    /// its integer kernels; otherwise (`None` or bf16) they run the f32
+    /// forward on `params` with its packed dense weights.
     pub quant: Option<Arc<QuantizedModel>>,
+    /// `params`' dense weights packed for the GEMM kernel, built on first
+    /// use by [`ModelSnapshot::packed_dense`] and freed with the snapshot.
+    packed: OnceLock<PackedDense>,
+}
+
+impl ModelSnapshot {
+    /// The f32 serving form of `params`' dense weights: packed with `net`
+    /// on the first call, then shared by every caller for the life of
+    /// the snapshot. The registry cannot pack at publication because it
+    /// knows only the [`ModelSpec`], not the network.
+    ///
+    /// # Panics
+    /// Panics if `net` does not match the snapshot's spec.
+    pub fn packed_dense(&self, net: &Network) -> &PackedDense {
+        self.packed.get_or_init(|| net.pack_dense(&self.params))
+    }
 }
 
 /// Why a publication was refused.
@@ -183,6 +201,7 @@ impl SnapshotRegistry {
             precision,
             accuracy_delta,
             quant,
+            packed: OnceLock::new(),
         }));
         self.version.store(version, Ordering::Release);
         Ok(version)
@@ -349,6 +368,27 @@ mod tests {
             assert_eq!(all, expected, "versions are dense and unique");
         });
         assert_eq!(reg.version(), PUBLISHERS * ROUNDS);
+    }
+
+    #[test]
+    fn a_snapshot_packs_once_and_a_newer_one_packs_its_own() {
+        use crossbow_nn::zoo::mlp;
+        let net = mlp(4, &[6], 3);
+        let reg = SnapshotRegistry::new(ModelSpec::of(&net));
+        reg.publish(net.init_params(&mut crossbow_tensor::Rng::new(1)), 1)
+            .unwrap();
+        let held = reg.current().unwrap();
+        let first: *const PackedDense = held.packed_dense(&net);
+        assert!(
+            std::ptr::eq(first, reg.current().unwrap().packed_dense(&net)),
+            "every reader shares one packing"
+        );
+        reg.publish(net.init_params(&mut crossbow_tensor::Rng::new(2)), 2)
+            .unwrap();
+        assert!(!std::ptr::eq(
+            first,
+            reg.current().unwrap().packed_dense(&net)
+        ));
     }
 
     #[test]

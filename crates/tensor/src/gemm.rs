@@ -12,7 +12,10 @@
 //!   an explicit workspace, used by the layer hot path so packing buffers
 //!   come from the learner's arena instead of thread-local state;
 //! * [`gemm_parallel`] — opt-in multi-threaded row-panel variant,
-//!   bit-identical to the serial kernel (see *Determinism* below).
+//!   bit-identical to the serial kernel (see *Determinism* below);
+//! * [`gemm_bt_packed`] — `C = A @ W^T` against a [`PackedRhs`], a
+//!   weight matrix packed once ahead of time (the serving path), so no
+//!   call packs `B` again.
 //!
 //! All matrices are row-major. `gemm` computes `C = alpha * A @ B + beta * C`
 //! with `A: m x k`, `B: k x n`, `C: m x n`.
@@ -31,6 +34,12 @@
 //! The same micro-kernel serves the transposed variants: packing reads
 //! through a generic `(row stride, col stride)` view, so `A^T` and `B^T`
 //! never materialise.
+//!
+//! A [`PackedRhs`] holds every `KC` block of `B` in exactly the tile
+//! layout the loop nest packs per call, for one kernel's `nr`. The loop
+//! nest borrows its blocks instead of packing them; the arithmetic and
+//! its order are untouched, so the result is bit-identical to the
+//! unpacked entry point.
 //!
 //! # Kernel tiers
 //!
@@ -333,6 +342,86 @@ fn pack_b(b: View<'_>, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize, ou
     }
 }
 
+/// A right-hand operand packed once: the weight matrix `W: n x k` of
+/// `C = A @ W^T` (a dense layer's `x @ W^T`), held as every `KC` block
+/// of `B = W^T` in exactly the `nr`-column tiles the loop nest packs per
+/// call. Tagged with the `nr` it was packed for: only a kernel of that
+/// tile width ([`PackedRhs::fits`]) can consume it.
+#[derive(Clone, Debug)]
+pub struct PackedRhs {
+    n: usize,
+    k: usize,
+    nr: usize,
+    /// The block starting at `p0` occupies `p0 * stride .. (p0 + kc) *
+    /// stride`, where `stride` is `n` rounded up to whole tiles.
+    data: Vec<f32>,
+}
+
+impl PackedRhs {
+    /// Packs `w` (`n x k`, row-major) for `kernel`'s tile width. Packing
+    /// only moves data, so an operand can be packed for any tier on any
+    /// CPU.
+    ///
+    /// # Panics
+    /// Panics if `w.len() != n * k`.
+    pub fn pack_bt(w: &[f32], n: usize, k: usize, kernel: GemmKernel) -> PackedRhs {
+        assert_eq!(w.len(), n * k, "W dims mismatch: {} != {n}*{k}", w.len());
+        let nr = kernel.nr();
+        let stride = n.div_ceil(nr) * nr;
+        let mut data = vec![0.0; k * stride];
+        // Logical B is k x n; element (p, j) of W^T lives at w[j * k + p].
+        let view = View {
+            data: w,
+            rs: 1,
+            cs: k,
+        };
+        for p0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - p0);
+            pack_b(
+                view,
+                p0,
+                kc,
+                0,
+                n,
+                nr,
+                &mut data[p0 * stride..(p0 + kc) * stride],
+            );
+        }
+        PackedRhs { n, k, nr, data }
+    }
+
+    /// Output width `n` (rows of `W`).
+    pub fn rows(&self) -> usize {
+        self.n
+    }
+
+    /// Reduction length `k` (columns of `W`).
+    pub fn cols(&self) -> usize {
+        self.k
+    }
+
+    /// Whether `kernel` tiles `B` at the width this operand was packed
+    /// for.
+    pub fn fits(&self, kernel: GemmKernel) -> bool {
+        kernel.nr() == self.nr
+    }
+
+    /// The packed tiles of the `kc`-deep block starting at `p0`.
+    fn block(&self, p0: usize, kc: usize) -> &[f32] {
+        let stride = self.n.div_ceil(self.nr) * self.nr;
+        &self.data[p0 * stride..(p0 + kc) * stride]
+    }
+}
+
+/// Where the loop nest takes each `KC` block of `B`'s packed tiles from.
+enum Rhs<'a> {
+    /// Packed per block from a strided view into a caller buffer of at
+    /// least `KC * ceil(n/nr)*nr` elements.
+    Pack(View<'a>, &'a mut [f32]),
+    /// Borrowed from an operand packed ahead of time.
+    Packed(&'a PackedRhs),
+}
+
 /// Adds `alpha *` the valid `rows x cols` corner of a spilled accumulator
 /// tile to C. Shared by every kernel's edge path; the per-element
 /// operation (`c += alpha * acc`, separate multiply and add) is identical
@@ -575,14 +664,24 @@ fn packed_serial(
     let kc_max = k.min(KC);
     let mut a_pack = ws.take_pack(kernel.mc().min(m).div_ceil(mr) * mr * kc_max);
     let mut b_pack = ws.take_pack(kc_max * n.div_ceil(nr) * nr);
-    packed_serial_into(kernel, m, k, n, alpha, a, b, c, &mut a_pack, &mut b_pack);
+    packed_serial_into(
+        kernel,
+        m,
+        k,
+        n,
+        alpha,
+        a,
+        Rhs::Pack(b, &mut b_pack),
+        c,
+        &mut a_pack,
+    );
     ws.give(a_pack);
     ws.give(b_pack);
 }
 
-/// The packed loop nest proper, with caller-provided packing buffers
-/// (`a_pack`: at least `ceil(min(mc, m)/mr)*mr * KC`; `b_pack`: at least
-/// `KC * ceil(n/nr)*nr`).
+/// The packed loop nest proper, with a caller-provided `a_pack` buffer
+/// (at least `ceil(min(mc, m)/mr)*mr * KC`) and `B`'s tiles packed per
+/// block or borrowed from a [`PackedRhs`].
 #[allow(clippy::too_many_arguments)]
 fn packed_serial_into(
     kernel: GemmKernel,
@@ -591,15 +690,20 @@ fn packed_serial_into(
     n: usize,
     alpha: f32,
     a: View<'_>,
-    b: View<'_>,
+    mut b: Rhs<'_>,
     c: &mut [f32],
     a_pack: &mut [f32],
-    b_pack: &mut [f32],
 ) {
     let (mr, nr, mc_step) = (kernel.mr(), kernel.nr(), kernel.mc());
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
-        pack_b(b, p0, kc, 0, n, nr, b_pack);
+        let b_pack: &[f32] = match &mut b {
+            Rhs::Pack(view, buf) => {
+                pack_b(*view, p0, kc, 0, n, nr, buf);
+                buf
+            }
+            Rhs::Packed(packed) => packed.block(p0, kc),
+        };
         for i0 in (0..m).step_by(mc_step) {
             let mc = mc_step.min(m - i0);
             pack_a(a, i0, mc, p0, kc, mr, a_pack);
@@ -753,7 +857,17 @@ fn packed_parallel(
         // in BENCH_gemm.json), so run it inline.
         let mut a_pack = ws.take_pack(a_pack_len);
         let mut b_pack = ws.take_pack(b_pack_len);
-        packed_serial_into(kernel, m, k, n, alpha, a, b, c, &mut a_pack, &mut b_pack);
+        packed_serial_into(
+            kernel,
+            m,
+            k,
+            n,
+            alpha,
+            a,
+            Rhs::Pack(b, &mut b_pack),
+            c,
+            &mut a_pack,
+        );
         ws.give(a_pack);
         ws.give(b_pack);
         return;
@@ -784,10 +898,9 @@ fn packed_parallel(
                     n,
                     alpha,
                     a_chunk,
-                    b,
+                    Rhs::Pack(b, &mut b_pack),
                     c_chunk,
                     &mut a_pack,
-                    &mut b_pack,
                 );
                 (a_pack, b_pack)
             }));
@@ -983,6 +1096,61 @@ pub fn gemm_bt_ws(
     packed_dispatch(m, k, n, alpha, av, bv, beta, c, ws);
 }
 
+/// [`gemm_bt_ws`] against a weight matrix packed once
+/// ([`PackedRhs::pack_bt`]): `C = alpha * A @ W^T + beta * C` with
+/// `A: m x k`, bit-identical to [`gemm_bt_ws`] on the unpacked `W`, but
+/// no call packs `W` again. Runs serially; the `A` packing buffer comes
+/// from `ws`.
+///
+/// # Panics
+/// Panics if `a` or `c` do not match `m x k` / `m x n`, or when the
+/// thread's active kernel does not [fit](PackedRhs::fits) the operand.
+pub fn gemm_bt_packed(
+    m: usize,
+    alpha: f32,
+    a: &[f32],
+    w: &PackedRhs,
+    beta: f32,
+    c: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let (k, n) = (w.k, w.n);
+    assert_eq!(a.len(), m * k, "A dims mismatch");
+    assert_eq!(c.len(), m * n, "C dims mismatch");
+    let kernel = GemmKernel::active();
+    assert!(
+        w.fits(kernel),
+        "operand packed for nr = {}, but kernel {kernel} tiles nr = {}",
+        w.nr,
+        kernel.nr()
+    );
+    let av = View {
+        data: a,
+        rs: k,
+        cs: 1,
+    };
+    // The view `gemm_bt_ws` builds over W. The direct kernel only takes
+    // it when k = 1; then the packed block is W itself, zero-padded to
+    // whole tiles, so the packed data can stand in for W.
+    let wv = View {
+        data: &w.data,
+        rs: 1,
+        cs: k,
+    };
+    if use_direct(m, k, n, wv) {
+        direct_serial(m, k, n, alpha, av, wv, beta, c);
+        return;
+    }
+    apply_beta(beta, c);
+    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        return;
+    }
+    let mr = kernel.mr();
+    let mut a_pack = ws.take_pack(kernel.mc().min(m).div_ceil(mr) * mr * k.min(KC));
+    packed_serial_into(kernel, m, k, n, alpha, av, Rhs::Packed(w), c, &mut a_pack);
+    ws.give(a_pack);
+}
+
 /// Matrix-vector product `y = alpha * A @ x + beta * y`, `A: m x n` row-major.
 pub fn gemv(m: usize, n: usize, alpha: f32, a: &[f32], x: &[f32], beta: f32, y: &mut [f32]) {
     assert_eq!(a.len(), m * n, "A dims mismatch");
@@ -1159,6 +1327,57 @@ mod tests {
                 assert_eq!(scalar.3, simd.3, "{kernel} parallel m={m} k={k} n={n}");
             }
         }
+    }
+
+    /// A pre-packed `W` serves the same bytes as `gemm_bt_ws` packing it
+    /// per call, on every supported tier: `k` across one, several and a
+    /// ragged last `KC` block, `n` off whole tiles (and the k = 1 direct
+    /// kernel at n = 130), `m` past `MC`.
+    #[test]
+    fn packed_rhs_is_bit_identical_to_unpacked_bt_on_every_tier() {
+        let mut rng = Rng::new(77);
+        for kernel in supported_kernels() {
+            for &k in &[1usize, 255, 300, 513] {
+                for &n in &[5usize, 16, 33, 130] {
+                    let w: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect();
+                    let packed = PackedRhs::pack_bt(&w, n, k, kernel);
+                    assert_eq!((packed.rows(), packed.cols()), (n, k));
+                    for (trial, &m) in [1usize, 3, 9, 17, 70].iter().enumerate() {
+                        let (alpha, beta) = [(1.0f32, 0.0f32), (0.7, 0.3)][trial % 2];
+                        let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+                        let c0: Vec<f32> = (0..m * n).map(|_| rng.normal()).collect();
+                        let (want, got) = with_kernel(kernel, || {
+                            let mut ws = Workspace::new();
+                            let mut want = c0.clone();
+                            gemm_bt_ws(m, k, n, alpha, &a, &w, beta, &mut want, &mut ws);
+                            let mut got = c0.clone();
+                            gemm_bt_packed(m, alpha, &a, &packed, beta, &mut got, &mut ws);
+                            (want, got)
+                        });
+                        assert_eq!(want, got, "{kernel} m={m} k={k} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "operand packed for nr = 16")]
+    fn a_packed_rhs_refuses_a_kernel_of_another_tile_width() {
+        let packed = PackedRhs::pack_bt(&[1.0; 6], 2, 3, GemmKernel::Avx2);
+        assert!(!packed.fits(GemmKernel::Scalar) && packed.fits(GemmKernel::Avx512));
+        let mut c = [0.0; 2];
+        with_kernel(GemmKernel::Scalar, || {
+            gemm_bt_packed(
+                1,
+                1.0,
+                &[1.0; 3],
+                &packed,
+                0.0,
+                &mut c,
+                &mut Workspace::new(),
+            )
+        });
     }
 
     /// Satellite: forcing the scalar fallback must reproduce the default

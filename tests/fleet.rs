@@ -576,6 +576,47 @@ fn predictions_match_a_direct_eval_forward() {
     assert!(m.latency.p99 > Duration::ZERO);
 }
 
+/// After a hot swap to weights that classify differently, every served
+/// class equals `predict` on the new weights: no worker keeps serving
+/// the old snapshot's packed dense weights. For f32 and bf16 snapshots.
+#[test]
+fn a_hot_swap_serves_the_new_weights_not_a_stale_packing() {
+    let payload = inputs(5);
+    let batch = Tensor::from_vec(Shape::new(&[payload.len(), DIM]), payload.concat());
+    for precision in [Precision::F32, Precision::Bf16] {
+        let net = Arc::new(mlp(DIM, &[16], 4));
+        let config = FleetConfig {
+            initial_workers: 2,
+            ..FleetConfig::default()
+        };
+        let fleet = Fleet::builder(config).model("m", Arc::clone(&net)).start();
+        let registry = fleet.registry("m").expect("registered");
+        let client = fleet.client();
+        let mut scratch = net.scratch();
+        let mut expected = Vec::new();
+        for (version, seed) in [(1u64, 21u64), (2, 22)] {
+            let model = Arc::new(net.quantize(&net.init_params(&mut Rng::new(seed)), precision));
+            let published = match precision {
+                Precision::F32 => registry.publish(model.params().to_vec(), version),
+                _ => registry.publish_quantized(Arc::clone(&model), version, None),
+            };
+            assert_eq!(published, Ok(version));
+            let want = net.predict(model.params(), &batch, &mut scratch);
+            for (input, &class) in payload.iter().zip(&want) {
+                let served = call(&client, "m", input.clone()).expect("served");
+                assert_eq!(served.version, version);
+                assert_eq!(served.class, class, "{} v{version}", precision.name());
+            }
+            expected.push(want);
+        }
+        assert_ne!(
+            expected[0], expected[1],
+            "the versions must classify differently for a stale packing to show"
+        );
+        fleet.shutdown();
+    }
+}
+
 /// Submits `n` identical requests to a one-model fleet with the given
 /// batching, waits for every answer, and returns the number of batches
 /// the model executed and how long the answers took.
