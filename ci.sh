@@ -27,6 +27,9 @@ echo "== distributed socket tests (wall-clock bounded) =="
 # killed by a wall-clock bound, never allowed to hang CI. Every listener
 # binds port 0 (OS-assigned), so parallel CI runs cannot collide.
 timeout 300 cargo test -q -p crossbow --test dist_train
+# The chaos suite spawns the real `crossbow chaos` binary over real
+# sockets, so it gets the same bound.
+timeout 300 cargo test -q -p crossbow --test chaos
 
 echo "== chaos scenarios (seeded, wall-clock bounded) =="
 # Replay two named chaos scenarios end to end through the real CLI: a

@@ -20,9 +20,9 @@
 
 use crate::cluster::checksum_params;
 use crate::fault::{FaultInjector, NetFaultPlan};
-use crate::proto::Msg;
+use crate::proto::{self, Msg};
 use crate::transport::{Conn, RetryPolicy};
-use crate::wire::WireError;
+use crate::wire::{self, WireError};
 use crossbow_checkpoint::{AlgoState, CheckpointStore, TrainingState};
 use crossbow_data::{PartitionPlan, SampleSource};
 use crossbow_nn::Network;
@@ -32,7 +32,7 @@ use crossbow_sync::{
 };
 use crossbow_telemetry::Telemetry;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -268,48 +268,68 @@ struct StandbyLink {
     priority: u32,
 }
 
-/// Shared standby-replication state: the registered links, the latest
-/// encoded [`TrainingState`], and the update sequence counter. Shared
-/// between the accept path (registration), the trainer's state hook
-/// (updates), and the lease-renewal thread.
+/// The newest replicated state. It stays a [`TrainingState`] while no
+/// standby is registered — nobody needs its bytes — and is encoded once,
+/// when a registrant needs the catch-up.
+enum Latest {
+    State(Box<TrainingState>),
+    Encoded(Vec<u8>),
+}
+
+/// The registered links, the update sequence counter and the newest
+/// state (numbered `seq`), under one lock so a registration never lands
+/// between a publish's standby check and its cache update.
+#[derive(Default)]
+struct ReplState {
+    standbys: Vec<StandbyLink>,
+    seq: u64,
+    latest: Option<Latest>,
+}
+
+/// Shared standby-replication state. Shared between the accept path
+/// (registration), the trainer's state hook (updates), and the
+/// lease-renewal thread.
 pub(crate) struct Replication {
     term: u64,
-    standbys: Mutex<Vec<StandbyLink>>,
-    last_state: Mutex<Option<Vec<u8>>>,
-    seq: AtomicU64,
+    state: Mutex<ReplState>,
 }
 
 impl Replication {
     fn new(term: u64) -> Arc<Self> {
         Arc::new(Replication {
             term,
-            standbys: Mutex::new(Vec::new()),
-            last_state: Mutex::new(None),
-            seq: AtomicU64::new(0),
+            state: Mutex::new(ReplState::default()),
         })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, ReplState> {
+        // Every update replaces whole fields, so a poisoned guard still
+        // holds consistent data.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sends `msg` to every standby, silently dropping links whose send
     /// failed — a dead standby must never stall the training loop.
     fn broadcast(&self, msg: &Msg) {
-        let mut links = self.standbys.lock().unwrap_or_else(PoisonError::into_inner);
-        links.retain(|link| link.conn.send(msg).is_ok());
+        self.lock()
+            .standbys
+            .retain(|link| link.conn.send(msg).is_ok());
     }
 
-    /// Publishes one state update to every standby and caches it for
-    /// late registrants.
-    fn publish(&self, bytes: Vec<u8>) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let msg = Msg::State {
-            term: self.term,
-            seq,
-            state: bytes.clone(),
-        };
-        *self
-            .last_state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(bytes);
-        self.broadcast(&msg);
+    /// Publishes one state update: encoded and sent to every standby when
+    /// there is one, otherwise only cached for a late registrant.
+    fn publish(&self, state: TrainingState) {
+        let mut repl = self.lock();
+        repl.seq += 1;
+        if repl.standbys.is_empty() {
+            repl.latest = Some(Latest::State(Box::new(state)));
+            return;
+        }
+        let bytes = state.encode();
+        let frame = wire::frame_with(|w| proto::write_state(w, self.term, repl.seq, &bytes));
+        repl.standbys
+            .retain(|link| link.conn.send_frame(&frame).is_ok());
+        repl.latest = Some(Latest::Encoded(bytes));
     }
 
     /// Registers a standby: acks with the current term, catches it up
@@ -320,28 +340,22 @@ impl Replication {
             term: self.term,
             priority: 0,
         };
+        let mut repl = self.lock();
         if conn.send(&ack).is_err() {
             return false;
         }
-        let cached = self
-            .last_state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if let Some(bytes) = cached {
-            let catch_up = Msg::State {
-                term: self.term,
-                seq: self.seq.load(Ordering::Relaxed),
-                state: bytes,
+        if let Some(latest) = repl.latest.take() {
+            let bytes = match latest {
+                Latest::State(state) => state.encode(),
+                Latest::Encoded(bytes) => bytes,
             };
-            if conn.send(&catch_up).is_err() {
+            let catch_up = wire::frame_with(|w| proto::write_state(w, self.term, repl.seq, &bytes));
+            repl.latest = Some(Latest::Encoded(bytes));
+            if conn.send_frame(&catch_up).is_err() {
                 return false;
             }
         }
-        self.standbys
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(StandbyLink { conn, priority });
+        repl.standbys.push(StandbyLink { conn, priority });
         true
     }
 
@@ -349,8 +363,7 @@ impl Replication {
     /// `Shutdown` (so standbys exit instead of taking over); a simulated
     /// crash just closes the sockets.
     fn shutdown(&self, crash_drop: bool) {
-        let mut links = self.standbys.lock().unwrap_or_else(PoisonError::into_inner);
-        for link in links.drain(..) {
+        for link in self.lock().standbys.drain(..) {
             if !crash_drop {
                 let _ = link.conn.send(&Msg::Shutdown);
             }
@@ -530,7 +543,7 @@ impl Coordinator {
         let hooked = tcfg
             .clone()
             .with_state_hook(StateHook::new(self.cfg.state_every, move |state| {
-                tap.publish(state.encode())
+                tap.publish(state)
             }));
         let lease = spawn_lease(Arc::clone(&repl), self.cfg.lease_interval);
         (hooked, repl, lease)
@@ -871,32 +884,28 @@ impl<'a> RemoteCluster<'a> {
         }
     }
 
+    /// Dispatches one round's work to member `j`, framed straight from
+    /// the replica and batch buffers.
     fn send_work(
-        &mut self,
+        &self,
         j: usize,
         round: u64,
         params: &[f32],
         batch: &LearnerBatch,
     ) -> Result<(), WireError> {
-        let msg = if self.cfg.index_work {
-            Msg::WorkIdx {
-                iter: round,
-                slot: j as u32,
-                params: params.to_vec(),
-                indices: batch.indices.iter().map(|&i| i as u64).collect(),
-            }
+        let slot = j as u32;
+        let frame = if self.cfg.index_work {
+            let indices: Vec<u64> = batch.indices.iter().map(|&i| i as u64).collect();
+            wire::frame_with(|w| proto::write_work_idx(w, round, slot, params, &indices))
         } else {
             let images = &batch.images;
-            Msg::Work {
-                iter: round,
-                slot: j as u32,
-                params: params.to_vec(),
-                dims: images.shape().dims().iter().map(|&d| d as u64).collect(),
-                images: images.data().to_vec(),
-                labels: batch.labels.iter().map(|&l| l as u64).collect(),
-            }
+            let dims: Vec<u64> = images.shape().dims().iter().map(|&d| d as u64).collect();
+            let labels: Vec<u64> = batch.labels.iter().map(|&l| l as u64).collect();
+            wire::frame_with(|w| {
+                proto::write_work(w, round, slot, params, &dims, images.data(), &labels)
+            })
         };
-        self.members[j].conn.send(&msg)
+        self.members[j].conn.send_frame(&frame)
     }
 
     /// One parameter-server round: dispatch work, collect gradients,
@@ -912,8 +921,7 @@ impl<'a> RemoteCluster<'a> {
         self.round += 1;
         let round = self.round;
         for (j, batch) in batches.iter().enumerate().take(k) {
-            let params = algo.replica(j).to_vec();
-            if self.send_work(j, round, &params, batch).is_err() {
+            if self.send_work(j, round, algo.replica(j), batch).is_err() {
                 self.evict(algo, j, "work dispatch failed");
                 return RoundStatus::Resized;
             }
@@ -977,8 +985,10 @@ impl<'a> RemoteCluster<'a> {
                         iter: round,
                         attempt: attempts[j],
                     });
-                    let params = algo.replica(j).to_vec();
-                    if self.send_work(j, round, &params, &batches[j]).is_err() {
+                    if self
+                        .send_work(j, round, algo.replica(j), &batches[j])
+                        .is_err()
+                    {
                         self.evict(algo, j, "work dispatch failed");
                         return RoundStatus::Resized;
                     }
@@ -1003,8 +1013,7 @@ impl<'a> RemoteCluster<'a> {
         self.round += 1;
         let round = self.round;
         for (j, batch) in batches.iter().enumerate().take(k) {
-            let params = algo.replica(j).to_vec();
-            if self.send_work(j, round, &params, batch).is_err() {
+            if self.send_work(j, round, algo.replica(j), batch).is_err() {
                 self.evict(algo, j, "work dispatch failed");
                 return RoundStatus::Resized;
             }
@@ -1070,8 +1079,7 @@ impl<'a> RemoteCluster<'a> {
                 // Heal possibly-lost ring config, then replay the round.
                 self.repeat_ring_config();
                 for (j, batch) in batches.iter().enumerate().take(k) {
-                    let params = algo.replica(j).to_vec();
-                    if self.send_work(j, round, &params, batch).is_err() {
+                    if self.send_work(j, round, algo.replica(j), batch).is_err() {
                         self.evict(algo, j, "work dispatch failed");
                         return RoundStatus::Resized;
                     }
@@ -1162,6 +1170,62 @@ mod tests {
         bad = DistConfig::new(Topology::Ps, 2);
         bad.poll = Duration::ZERO;
         assert!(bad.validate().unwrap_err().contains("poll"));
+    }
+
+    #[test]
+    fn a_late_standby_is_caught_up_with_the_newest_state() {
+        use std::net::TcpStream;
+        let coordinator = Coordinator::bind(
+            "127.0.0.1:0",
+            DistConfig::new(Topology::Ps, 1),
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        let (tcfg, repl, lease) = coordinator.start_replication(&TrainerConfig::new(8, 1));
+        let hook = tcfg
+            .state_hook
+            .expect("every run installs the replication tap");
+        let state_at = |n: u64| TrainingState {
+            seed: 7,
+            algorithm: "sma".into(),
+            iterations: n,
+            algo: AlgoState {
+                center: vec![n as f32; 33],
+                replicas: vec![vec![-(n as f32); 33]; 2],
+                iter: n,
+                ..AlgoState::default()
+            },
+            ..TrainingState::default()
+        };
+        // N rounds with nobody to replicate to.
+        const N: u64 = 5;
+        for n in 1..=N {
+            hook.publish(state_at(n));
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let standby_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (primary_side, _) = listener.accept().unwrap();
+        assert!(repl.register(Conn::new(primary_side, Telemetry::disabled()).unwrap(), 1));
+        let mut standby = Conn::new(standby_side, Telemetry::disabled()).unwrap();
+        let mut next_state = || loop {
+            match standby.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Msg::Lease { .. } => continue,
+                Msg::State { term, seq, state } => break (term, seq, state),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        // The catch-up is the newest state, byte for byte, at its seq.
+        let (term, seq, bytes) = next_state();
+        assert_eq!((term, seq), (0, N));
+        assert_eq!(bytes, state_at(N).encode());
+        assert_eq!(TrainingState::decode(&bytes).unwrap().iterations, N);
+        // Once registered, every update is broadcast in sequence.
+        hook.publish(state_at(N + 1));
+        let (_, seq, bytes) = next_state();
+        assert_eq!(seq, N + 1);
+        assert_eq!(bytes, state_at(N + 1).encode());
+        lease.stop();
+        repl.shutdown(false);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! carries a full encoded `TrainingState` so a rejoining worker recovers
 //! through exactly the checkpoint path a restarted coordinator would.
 
+use crate::wire;
 use crossbow_checkpoint::codec::{DecodeError, Reader, Writer};
 
 /// One protocol message. Tags are stable; unknown tags decode to an
@@ -180,16 +181,65 @@ const TAG_LEASE: u8 = 11;
 const TAG_STATE: u8 = 12;
 const TAG_WORKIDX: u8 = 13;
 
-fn write_u64s(w: &mut Writer, v: &[u64]) {
-    w.u64(v.len() as u64);
-    for &x in v {
-        w.u64(x);
-    }
+// Borrowed encoders for the bulk messages. `Msg::encode` goes through
+// them too, so a hot path that frames straight from its own buffers puts
+// exactly the owned message's bytes on the wire, without first copying a
+// model-sized vector into a `Msg`. The work messages, whose model-sized
+// field is not the last, reserve their exact size first: growing past
+// it would copy the replica again.
+
+/// Writes a [`Msg::Work`] from borrowed parts.
+pub(crate) fn write_work(
+    w: &mut Writer,
+    iter: u64,
+    slot: u32,
+    params: &[f32],
+    dims: &[u64],
+    images: &[f32],
+    labels: &[u64],
+) {
+    // Tag, iter, slot and four length prefixes, then the elements.
+    w.reserve(45 + 4 * (params.len() + images.len()) + 8 * (dims.len() + labels.len()));
+    w.u8(TAG_WORK);
+    w.u64(iter);
+    w.u32(slot);
+    w.f32_slice(params);
+    w.u64_slice(dims);
+    w.f32_slice(images);
+    w.u64_slice(labels);
 }
 
-fn read_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
-    let n = r.u64()? as usize;
-    (0..n).map(|_| r.u64()).collect()
+/// Writes a [`Msg::WorkIdx`] from borrowed parts.
+pub(crate) fn write_work_idx(
+    w: &mut Writer,
+    iter: u64,
+    slot: u32,
+    params: &[f32],
+    indices: &[u64],
+) {
+    w.reserve(29 + 4 * params.len() + 8 * indices.len());
+    w.u8(TAG_WORKIDX);
+    w.u64(iter);
+    w.u32(slot);
+    w.f32_slice(params);
+    w.u64_slice(indices);
+}
+
+/// Writes a [`Msg::Grad`] from borrowed parts.
+pub(crate) fn write_grad(w: &mut Writer, iter: u64, slot: u32, loss: f32, grad: &[f32]) {
+    w.u8(TAG_GRAD);
+    w.u64(iter);
+    w.u32(slot);
+    w.f32(loss);
+    w.f32_slice(grad);
+}
+
+/// Writes a [`Msg::State`] from borrowed parts.
+pub(crate) fn write_state(w: &mut Writer, term: u64, seq: u64, state: &[u8]) {
+    w.u8(TAG_STATE);
+    w.u64(term);
+    w.u64(seq);
+    w.bytes(state);
 }
 
 impl Msg {
@@ -215,6 +265,17 @@ impl Msg {
     /// Encodes the message as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.write(&mut w);
+        w.into_bytes()
+    }
+
+    /// The message as one wire frame, encoded straight behind the header
+    /// (the bytes of `wire::frame(&self.encode())`, without the copy).
+    pub(crate) fn framed(&self) -> Vec<u8> {
+        wire::frame_with(|w| self.write(w))
+    }
+
+    fn write(&self, w: &mut Writer) {
         match self {
             Msg::Hello { rejoin, ring_addr } => {
                 w.u8(TAG_HELLO);
@@ -248,39 +309,19 @@ impl Msg {
                 dims,
                 images,
                 labels,
-            } => {
-                w.u8(TAG_WORK);
-                w.u64(*iter);
-                w.u32(*slot);
-                w.f32_slice(params);
-                write_u64s(&mut w, dims);
-                w.f32_slice(images);
-                write_u64s(&mut w, labels);
-            }
+            } => write_work(w, *iter, *slot, params, dims, images, labels),
             Msg::WorkIdx {
                 iter,
                 slot,
                 params,
                 indices,
-            } => {
-                w.u8(TAG_WORKIDX);
-                w.u64(*iter);
-                w.u32(*slot);
-                w.f32_slice(params);
-                write_u64s(&mut w, indices);
-            }
+            } => write_work_idx(w, *iter, *slot, params, indices),
             Msg::Grad {
                 iter,
                 slot,
                 loss,
                 grad,
-            } => {
-                w.u8(TAG_GRAD);
-                w.u64(*iter);
-                w.u32(*slot);
-                w.f32(*loss);
-                w.f32_slice(grad);
-            }
+            } => write_grad(w, *iter, *slot, *loss, grad),
             Msg::GradSet {
                 iter,
                 losses,
@@ -332,14 +373,8 @@ impl Msg {
                 w.u64(*term);
                 w.u32(*priority);
             }
-            Msg::State { term, seq, state } => {
-                w.u8(TAG_STATE);
-                w.u64(*term);
-                w.u64(*seq);
-                w.bytes(state);
-            }
+            Msg::State { term, seq, state } => write_state(w, *term, *seq, state),
         }
-        w.into_bytes()
     }
 
     /// Decodes a frame payload.
@@ -368,15 +403,15 @@ impl Msg {
                 iter: r.u64()?,
                 slot: r.u32()?,
                 params: r.f32_vec()?,
-                dims: read_u64s(&mut r)?,
+                dims: r.u64_vec()?,
                 images: r.f32_vec()?,
-                labels: read_u64s(&mut r)?,
+                labels: r.u64_vec()?,
             },
             TAG_WORKIDX => Msg::WorkIdx {
                 iter: r.u64()?,
                 slot: r.u32()?,
                 params: r.f32_vec()?,
-                indices: read_u64s(&mut r)?,
+                indices: r.u64_vec()?,
             },
             TAG_GRAD => Msg::Grad {
                 iter: r.u64()?,
@@ -435,6 +470,12 @@ mod tests {
         // Re-encode rather than compare values: bit-exact for any float
         // payload, NaN included.
         assert_eq!(back.encode(), bytes, "{} round-trips", msg.name());
+        assert_eq!(
+            msg.framed(),
+            wire::frame(&bytes),
+            "{} frames in place",
+            msg.name()
+        );
     }
 
     #[test]
@@ -524,6 +565,49 @@ mod tests {
                 "truncation at {cut} must fail"
             );
         }
+    }
+
+    #[test]
+    fn work_messages_encode_into_one_exact_allocation() {
+        let work = Msg::Work {
+            iter: 3,
+            slot: 1,
+            params: vec![0.5; 1000],
+            dims: vec![2, 3],
+            images: vec![0.25; 6],
+            labels: vec![1, 0],
+        };
+        let idx = Msg::WorkIdx {
+            iter: 3,
+            slot: 1,
+            params: vec![0.5; 1000],
+            indices: vec![9, 4, 7],
+        };
+        for msg in [work, idx] {
+            let bytes = msg.encode();
+            assert_eq!(bytes.capacity(), bytes.len(), "{}", msg.name());
+            let framed = msg.framed();
+            assert_eq!(framed.capacity(), framed.len(), "{}", msg.name());
+        }
+    }
+
+    #[test]
+    fn an_oversized_u64_list_prefix_is_rejected() {
+        // A well-framed Work whose label count claims more entries than
+        // the payload holds fails at the prefix, before any allocation.
+        let mut w = Writer::new();
+        w.u8(TAG_WORK);
+        w.u64(1);
+        w.u32(0);
+        w.f32_slice(&[1.0]);
+        w.u64_slice(&[1, 1]);
+        w.f32_slice(&[0.5]);
+        w.u64(u64::MAX / 2);
+        w.u64(0);
+        assert_eq!(
+            Msg::decode(&w.into_bytes()),
+            Err(DecodeError("length prefix exceeds payload"))
+        );
     }
 
     #[test]

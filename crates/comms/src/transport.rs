@@ -85,7 +85,15 @@ impl MsgSender {
     /// [`WireError::Disconnected`] when the peer (or an injected
     /// disconnect) killed the link; [`WireError::Io`] otherwise.
     pub fn send(&self, msg: &Msg) -> Result<(), WireError> {
-        let bytes = wire::frame(&msg.encode());
+        self.send_frame(&msg.framed())
+    }
+
+    /// Applies the fault plan to, and writes, one already built frame —
+    /// the path for messages framed straight from borrowed buffers.
+    ///
+    /// # Errors
+    /// As [`MsgSender::send`].
+    pub(crate) fn send_frame(&self, bytes: &[u8]) -> Result<(), WireError> {
         let mut half = self.half.lock().unwrap_or_else(PoisonError::into_inner);
         let action = half
             .injector
@@ -110,7 +118,7 @@ impl MsgSender {
             }
         }
         let t = half.shard.now_ns();
-        half.stream.write_all(&bytes).map_err(wire::map_write_err)?;
+        half.stream.write_all(bytes).map_err(wire::map_write_err)?;
         half.shard
             .close(SpanKind::NetSend, "net-send", t, HOST_DEVICE, 0, None);
         self.telemetry
@@ -181,6 +189,14 @@ impl Conn {
         self.sender().send(msg)
     }
 
+    /// Sends one already built frame (see [`MsgSender::send_frame`]).
+    ///
+    /// # Errors
+    /// As [`MsgSender::send`].
+    pub(crate) fn send_frame(&self, frame: &[u8]) -> Result<(), WireError> {
+        self.sender().send_frame(frame)
+    }
+
     /// Receives one message, waiting at most `timeout`.
     ///
     /// # Errors
@@ -195,8 +211,8 @@ impl Conn {
             self.read_timeout = Some(timeout);
         }
         let t = self.shard.now_ns();
-        let payload = self.frames.read_frame(&mut self.read)?;
-        let msg = Msg::decode(&payload).map_err(|_| WireError::Corrupt("undecodable message"))?;
+        let payload = self.frames.next_frame(&mut self.read)?;
+        let msg = Msg::decode(payload).map_err(|_| WireError::Corrupt("undecodable message"))?;
         self.shard
             .close(SpanKind::NetRecv, "net-recv", t, HOST_DEVICE, 0, None);
         self.telemetry

@@ -14,7 +14,7 @@
 //! (each block travels `k - 1` hops), and slot 0 uploads the assembled
 //! round. Membership changes re-key the ring under a new generation.
 
-use crate::proto::Msg;
+use crate::proto::{self, Msg};
 use crate::transport::{connect_retry, Conn, MsgSender, RetryPolicy};
 use crate::wire::{self, FrameReader, WireError};
 use crossbow_checkpoint::TrainingState;
@@ -147,7 +147,7 @@ impl RingLinks {
         };
         let mut stream = stream;
         stream
-            .write_all(&wire::frame(&hello.encode()))
+            .write_all(&hello.framed())
             .map_err(wire::map_write_err)?;
         self.succ = Some(stream);
         Ok(())
@@ -159,9 +159,7 @@ impl RingLinks {
         let Some(succ) = self.succ.as_mut() else {
             return Err(WireError::Disconnected);
         };
-        let res = succ
-            .write_all(&wire::frame(&msg.encode()))
-            .map_err(wire::map_write_err);
+        let res = succ.write_all(&msg.framed()).map_err(wire::map_write_err);
         if res.is_err() {
             self.succ = None;
         }
@@ -184,8 +182,8 @@ impl RingLinks {
         }
         let mut frames = FrameReader::new();
         let mut stream = stream;
-        if let Ok(payload) = frames.read_frame(&mut stream) {
-            if let Ok(Msg::RingHello { generation, .. }) = Msg::decode(&payload) {
+        if let Ok(payload) = frames.next_frame(&mut stream) {
+            if let Ok(Msg::RingHello { generation, .. }) = Msg::decode(payload) {
                 if generation == self.generation {
                     self.pred = Some((stream, frames));
                 }
@@ -204,8 +202,8 @@ impl RingLinks {
             return Err(WireError::Timeout);
         };
         stream.set_read_timeout(Some(poll)).map_err(WireError::Io)?;
-        let payload = frames.read_frame(stream)?;
-        Msg::decode(&payload).map_err(|_| WireError::Corrupt("undecodable ring message"))
+        let payload = frames.next_frame(stream)?;
+        Msg::decode(payload).map_err(|_| WireError::Corrupt("undecodable ring message"))
     }
 }
 
@@ -564,6 +562,37 @@ fn spawn_heartbeat(
     })
 }
 
+/// Checks a `Work` batch against the local model before any tensor is
+/// built from it — every field is peer-controlled, so a mismatch is a
+/// `None`, never a panic: at least one sample, per-sample dims equal to
+/// the network's input shape, a dims product (computed without overflow)
+/// equal to the image count, one label per sample, every label a class
+/// the network has.
+fn work_batch(
+    net: &Network,
+    dims: &[u64],
+    images: Vec<f32>,
+    labels: &[u64],
+) -> Option<(Tensor, Vec<usize>)> {
+    let dims: Vec<usize> = dims
+        .iter()
+        .map(|&d| usize::try_from(d).ok())
+        .collect::<Option<_>>()?;
+    let (&batch, sample) = dims.split_first()?;
+    let elems = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
+    let classes = net.output_classes() as u64;
+    let fits = batch > 0
+        && sample == net.input_shape().dims()
+        && elems == images.len()
+        && labels.len() == batch
+        && labels.iter().all(|&l| l < classes);
+    if !fits {
+        return None;
+    }
+    let labels = labels.iter().map(|&l| l as usize).collect();
+    Some((Tensor::from_vec(dims.as_slice(), images), labels))
+}
+
 /// The round-serving loop. Returns the number of rounds served.
 #[allow(clippy::too_many_arguments)]
 fn serve(
@@ -607,12 +636,9 @@ fn serve(
             }
             rounds += 1;
             if topology == 0 {
-                conn.send(&Msg::Grad {
-                    iter,
-                    slot,
-                    loss,
-                    grad: grad.clone(),
-                })?;
+                conn.send_frame(&wire::frame_with(|w| {
+                    proto::write_grad(w, iter, slot, loss, &grad)
+                }))?;
             } else if let Some(links) = &mut ring {
                 let gathered = ring_exchange(
                     links,
@@ -649,12 +675,11 @@ fn serve(
                 images,
                 labels,
             }) => {
-                if params.len() != plen || dims.is_empty() {
+                if params.len() != plen {
                     return Err(WireError::Corrupt("work does not fit the local model"));
                 }
-                let dims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
-                let labels: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-                let images = Tensor::from_vec(dims.as_slice(), images);
+                let (images, labels) = work_batch(net, &dims, images, &labels)
+                    .ok_or(WireError::Corrupt("work does not fit the local model"))?;
                 compute_round!(iter, slot, params, images, labels);
             }
             Ok(Msg::WorkIdx {
@@ -700,6 +725,93 @@ fn serve(
             Ok(_) => continue,
             Err(WireError::Timeout) => continue,
             Err(e) => return Err(e),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbow_nn::zoo::mlp;
+
+    /// Admits one `run_worker` session over loopback, hands it `work`
+    /// then `Shutdown`, and returns how the session ended. A worker
+    /// panic fails the test at the join.
+    fn serve_one(net: &Network, work: Msg) -> Result<WorkerOutcome, WireError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                run_worker(
+                    net,
+                    &WorkerConfig::new(addr),
+                    &Telemetry::disabled(),
+                    &|_| {},
+                )
+            });
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = Conn::new(stream, Telemetry::disabled()).unwrap();
+            while !matches!(
+                conn.recv_timeout(Duration::from_secs(5)).unwrap(),
+                Msg::Hello { .. }
+            ) {}
+            conn.send(&Msg::Welcome {
+                slot: 0,
+                k: 1,
+                topology: 0,
+                weight_decay: 0.0,
+                heartbeat_ms: 0,
+                data_lo: 0,
+                data_hi: 0,
+                state: TrainingState::default().encode(),
+            })
+            .unwrap();
+            conn.send(&work).unwrap();
+            // The worker may already have hung up on a bad frame.
+            let _ = conn.send(&Msg::Shutdown);
+            worker.join().expect("the worker must not panic")
+        })
+    }
+
+    #[test]
+    fn malformed_work_is_a_typed_error_not_a_panic() {
+        // Input shape [4], 3 classes.
+        let net = mlp(4, &[8], 3);
+        let work = |dims: Vec<u64>, images: usize, labels: Vec<u64>| Msg::Work {
+            iter: 1,
+            slot: 0,
+            params: vec![0.01; net.param_len()],
+            dims,
+            images: vec![0.5; images],
+            labels,
+        };
+        let outcome = serve_one(&net, work(vec![2, 4], 8, vec![0, 2])).expect("well-formed work");
+        assert_eq!(outcome.rounds, 1);
+        let bad = [
+            (
+                "dims product != image count",
+                work(vec![2, 4], 7, vec![0, 2]),
+            ),
+            (
+                "dims product overflows",
+                work(vec![2, 1 << 62, 1 << 62], 8, vec![0, 2]),
+            ),
+            ("labels != batch", work(vec![2, 4], 8, vec![0])),
+            (
+                "sample dims != input shape",
+                work(vec![4, 2], 8, vec![0; 4]),
+            ),
+            ("label out of range", work(vec![2, 4], 8, vec![0, 3])),
+            ("no dims", work(vec![], 8, vec![0, 2])),
+            ("empty batch", work(vec![0, 4], 0, vec![])),
+        ];
+        for (why, msg) in bad {
+            match serve_one(&net, msg) {
+                Err(WireError::Corrupt(what)) => {
+                    assert_eq!(what, "work does not fit the local model", "{why}")
+                }
+                other => panic!("{why}: expected a corrupt-work error, got {other:?}"),
+            }
         }
     }
 }

@@ -72,8 +72,9 @@ impl std::fmt::Debug for PublishHook {
 
 /// A consumer of the trainer's complete durable state.
 ///
-/// Installed via [`TrainerConfig::with_state_hook`], the hook is called
-/// with a freshly captured [`TrainingState`] after every `every`-th
+/// Installed via [`TrainerConfig::with_state_hook`], the hook is handed
+/// a freshly captured [`TrainingState`] (owned: the hook may keep it
+/// without a copy) after every `every`-th
 /// applied iteration — the same post-step snapshot a durable checkpoint
 /// would persist, so a consumer that later resumes from it (through
 /// [`train_from_state_with_source`]) replays the remaining run
@@ -86,12 +87,12 @@ pub struct StateHook {
 }
 
 /// The callback type a [`StateHook`] wraps.
-type StateFn = Arc<dyn Fn(&TrainingState) + Send + Sync>;
+type StateFn = Arc<dyn Fn(TrainingState) + Send + Sync>;
 
 impl StateHook {
     /// A hook firing after every `every`-th applied iteration (`every`
     /// is clamped to at least 1).
-    pub fn new(every: u64, hook: impl Fn(&TrainingState) + Send + Sync + 'static) -> Self {
+    pub fn new(every: u64, hook: impl Fn(TrainingState) + Send + Sync + 'static) -> Self {
         StateHook {
             every: every.max(1),
             hook: Arc::new(hook),
@@ -104,7 +105,7 @@ impl StateHook {
     }
 
     /// Invokes the hook unconditionally.
-    pub fn publish(&self, state: &TrainingState) {
+    pub fn publish(&self, state: TrainingState) {
         (self.hook)(state);
     }
 }
@@ -1115,7 +1116,7 @@ fn run(
             // from it replays the rest of the run bit-identically.
             if curve.iterations.is_multiple_of(hook.every()) {
                 if let Some(state) = capture_state(algo, &sampler, &curve, config, &progress) {
-                    hook.publish(&state);
+                    hook.publish(state);
                 }
             }
         }
@@ -1525,7 +1526,7 @@ mod tests {
         let slot = Arc::clone(&captured);
         let hook = StateHook::new(1, move |st| {
             if st.iterations == 20 {
-                *slot.lock().unwrap() = Some(st.clone());
+                *slot.lock().unwrap() = Some(st);
             }
         });
         let mut algo = fresh_algo();
