@@ -18,6 +18,12 @@ cargo build --release
 echo "== build (release, examples) =="
 cargo build --release --examples
 
+echo "== quickstart (the README's first command) =="
+# The seeded session must reach its accuracy target: it prints its
+# time-to-accuracy only when it did. (No `grep -q`: grep must read to the
+# end, or the example's last lines would hit a closed pipe.)
+./target/release/examples/quickstart | grep "time-to-accuracy"
+
 echo "== tests =="
 cargo test -q
 
@@ -98,31 +104,13 @@ echo "== data plane (pack/verify round trip, wall-clock bounded) =="
 # re-validate every header, page and index checksum. `verify` exits
 # non-zero on any corrupt shard; the greps assert the machine-readable
 # markers. (The corruption matrix and disk/RAM bit-identity are covered
-# by `cargo test` above; membench below re-asserts bit-identity.)
+# by `cargo test` above.)
 DATA_DIR=$(mktemp -d)
 timeout 120 ./target/release/crossbow data pack --dir "$DATA_DIR/shards" \
     --samples 1024 --samples-per-shard 256 | grep -q "PACKED .* shards=4 samples=1024"
 timeout 120 ./target/release/crossbow data verify --dir "$DATA_DIR/shards" \
     | grep -q "VERIFIED valid=4 corrupt=0"
 rm -rf "$DATA_DIR"
-
-echo "== memory-plan bench smoke =="
-# Smoke-sized run of the §4.5 micro-benchmarks. membench exits non-zero
-# if the arena allocation counter is not flat across iteration counts —
-# the CI assertion that the training hot path performs no steady-state
-# allocations — if an mmap-shard gather is not bit-identical to the
-# same gather from RAM (the §14 data-plane invariant), if a fleet
-# serving run leaves an admitted request unanswered (the §15 invariant;
-# BENCH_serve.json records per-SLO goodput for 1- vs 3-model fleets
-# with the autoscaler off and on), if any SIMD GEMM tier produces
-# different bits than the scalar fallback (the §16 kernel-dispatch
-# invariant, checked per size in BENCH_gemm.json), or if forced-scalar
-# inference diverges bitwise from the auto-detected SIMD path
-# (BENCH_infer.json, which also records f32/bf16/int8 eval throughput,
-# snapshot bytes and accuracy deltas).
-BENCH_DIR=$(mktemp -d)
-./target/release/membench --smoke --out-dir "$BENCH_DIR" > /dev/null
-rm -rf "$BENCH_DIR"
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -9,9 +9,8 @@
 //!
 //! * there is no separate **data pre-processor** stage: each learner
 //!   gathers its next batch inline from its own sampler, so batch
-//!   assembly is on the learner's critical path
-//!   ([`crossbow_data::Prefetcher`], the paper's bounded batch queue of
-//!   §4.5, exists but is not wired in here);
+//!   assembly is on the learner's critical path (the paper's bounded
+//!   batch queue of §4.5 is not reproduced);
 //! * each **learner** runs on a worker thread: it gathers a batch, computes
 //!   the gradient against its replica (the *learning task*), applies the
 //!   gradient plus the SMA correction against its snapshot of the central

@@ -1,10 +1,10 @@
 //! A small bounded MPMC channel built on `std::sync` primitives.
 //!
-//! The pre-processor pipeline needs a bounded channel with blocking,
-//! timed and non-blocking operations on both ends, plus disconnection
-//! detection — the circular-buffer semantics of paper §4.5. The tier-1
-//! build runs without registry access, so this replaces the former
-//! `crossbeam::channel` dependency with ~150 lines of std.
+//! The shard packer (`crossbow-shard`) streams samples from a producer
+//! thread to the shard writer through it: a timed send, a blocking and a
+//! non-blocking receive, and disconnection detection on both ends. The
+//! buffer's capacity is the packer's back-pressure window. The build
+//! runs without registry access, so this is std only.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -25,15 +25,6 @@ pub enum SendTimeoutError<T> {
     Timeout(T),
     /// Every receiver is gone; the value is returned.
     Disconnected(T),
-}
-
-/// Why a receive did not complete.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// No value arrived within the timeout; senders may still be alive.
-    Timeout,
-    /// The buffer is empty and every sender is gone.
-    Disconnected,
 }
 
 struct Inner<T> {
@@ -128,55 +119,19 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Receives a value, blocking until one arrives or all senders are
-    /// gone.
-    pub fn recv(&self) -> Result<T, RecvTimeoutError> {
-        let Ok(mut inner) = self.0.inner.lock() else {
-            return Err(RecvTimeoutError::Disconnected);
-        };
+    /// Receives a value, blocking until one arrives; `None` once the
+    /// buffer is empty and every sender is gone.
+    pub fn recv(&self) -> Option<T> {
+        let mut inner = self.0.inner.lock().ok()?;
         loop {
             if let Some(v) = inner.queue.pop_front() {
                 self.0.not_full.notify_one();
-                return Ok(v);
+                return Some(v);
             }
             if inner.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
+                return None;
             }
-            let Ok(guard) = self.0.not_empty.wait(inner) else {
-                return Err(RecvTimeoutError::Disconnected);
-            };
-            inner = guard;
-        }
-    }
-
-    /// Receives a value, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let Ok(mut inner) = self.0.inner.lock() else {
-            return Err(RecvTimeoutError::Disconnected);
-        };
-        loop {
-            if let Some(v) = inner.queue.pop_front() {
-                self.0.not_full.notify_one();
-                return Ok(v);
-            }
-            if inner.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let Some(wait) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(RecvTimeoutError::Timeout);
-            };
-            let Ok((guard, res)) = self.0.not_empty.wait_timeout(inner, wait) else {
-                return Err(RecvTimeoutError::Disconnected);
-            };
-            inner = guard;
-            if res.timed_out() && inner.queue.is_empty() {
-                return if inner.senders == 0 {
-                    Err(RecvTimeoutError::Disconnected)
-                } else {
-                    Err(RecvTimeoutError::Timeout)
-                };
-            }
+            inner = self.0.not_empty.wait(inner).ok()?;
         }
     }
 
@@ -190,16 +145,6 @@ impl<T> Receiver<T> {
             self.0.not_full.notify_one();
         }
         v
-    }
-
-    /// Number of values currently buffered.
-    pub fn len(&self) -> usize {
-        self.0.inner.lock().map_or(0, |inner| inner.queue.len())
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -224,9 +169,8 @@ mod tests {
         for v in 0..4 {
             tx.send_timeout(v, Duration::from_secs(1)).unwrap();
         }
-        assert_eq!(rx.len(), 4);
         for v in 0..4 {
-            assert_eq!(rx.recv().unwrap(), v);
+            assert_eq!(rx.recv(), Some(v));
         }
         assert!(rx.try_recv().is_none());
     }
@@ -247,12 +191,8 @@ mod tests {
         let (tx, rx) = bounded::<u32>(2);
         tx.send_timeout(7, Duration::from_millis(10)).unwrap();
         drop(tx);
-        assert_eq!(rx.recv(), Ok(7), "buffered values drain first");
-        assert_eq!(rx.recv(), Err(RecvTimeoutError::Disconnected));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert_eq!(rx.recv(), Some(7), "buffered values drain first");
+        assert_eq!(rx.recv(), None);
     }
 
     #[test]
@@ -274,7 +214,7 @@ mod tests {
         let handle = std::thread::spawn(move || rx.recv());
         std::thread::sleep(Duration::from_millis(20));
         tx.send_timeout(9, Duration::from_secs(1)).unwrap();
-        assert_eq!(handle.join().unwrap(), Ok(9));
+        assert_eq!(handle.join().unwrap(), Some(9));
     }
 
     #[test]
@@ -293,27 +233,12 @@ mod tests {
             Err(SendTimeoutError::Disconnected(2)) => {}
             other => panic!("expected disconnect, got {other:?}"),
         }
-        assert_eq!(rx.recv(), Err(RecvTimeoutError::Disconnected));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert_eq!(rx.recv(), None);
         assert!(rx.try_recv().is_none());
-        assert_eq!(rx.len(), 0);
         // Clone/Drop recover the guard instead of panicking.
         let tx2 = tx.clone();
         drop(tx2);
         drop(tx);
         drop(rx);
-    }
-
-    #[test]
-    fn timed_recv_returns_timeout_while_senders_live() {
-        let (tx, rx) = bounded::<u32>(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        drop(tx);
     }
 }

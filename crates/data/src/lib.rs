@@ -1,4 +1,4 @@
-//! Datasets, batching and pre-processing for the CROSSBOW reproduction.
+//! Datasets and batching for the CROSSBOW reproduction.
 //!
 //! The paper trains on MNIST, CIFAR-10, CIFAR-100 and ILSVRC 2012
 //! (Table 1). Those datasets are not available offline, so [`synth`]
@@ -9,26 +9,22 @@
 //! arise from running real SGD on a non-trivial loss surface, which these
 //! tasks provide while converging in seconds on a CPU.
 //!
-//! The remaining modules mirror the paper's input pipeline (§4.1, §4.5):
+//! The remaining modules feed the trainers:
 //!
-//! * [`batch`] — epoch-aware shuffled batch sampling;
-//! * [`augment`] — the "image decoding and cropping" transformations the
-//!   data pre-processors apply;
-//! * [`prefetch`] — multi-threaded data pre-processors feeding a bounded
-//!   (double-buffered) queue, CROSSBOW's circular input buffer.
+//! * [`batch`] — epoch-aware shuffled batch sampling (§4.1);
+//! * [`source`] — the [`SampleSource`] trait every trainer gathers
+//!   batches through, in RAM or from disk;
+//! * [`chan`] — the bounded channel the shard packer streams through.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod augment;
 pub mod batch;
 pub mod chan;
 pub mod dataset;
-pub mod prefetch;
 pub mod source;
 pub mod synth;
 
 pub use batch::{BatchSampler, PartitionPlan, PartitionSampler};
 pub use dataset::Dataset;
-pub use prefetch::{Batch, PrefetchError, Prefetcher};
 pub use source::{DataError, SampleSource};

@@ -1,6 +1,6 @@
 //! The [`SampleSource`] abstraction: where training samples come from.
 //!
-//! The trainer, the prefetcher and the distributed coordinator do not
+//! The trainers and the distributed coordinator do not
 //! care whether samples live in RAM ([`crate::Dataset`]), in mmap-backed
 //! shard files (`crossbow-shard`), or behind any other store — they only
 //! gather index batches. [`SampleSource`] is that contract, and

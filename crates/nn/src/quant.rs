@@ -365,6 +365,28 @@ mod tests {
         for run in &runs[1..] {
             assert_eq!(&runs[0], run, "int8 forward must not depend on the kernel");
         }
+
+        // The f32 path too, on the dense net and on LeNet, whose second
+        // convolution runs im2col + packed GEMM: every supported tier
+        // answers the scalar fallback's bits.
+        for (net, seed) in [(tiny_net(), 37), (crate::zoo::lenet(1, 12, 3), 38)] {
+            let mut rng = Rng::new(seed);
+            let params = net.init_params(&mut rng);
+            let mut dims = vec![3];
+            dims.extend_from_slice(net.input_shape().dims());
+            let batch = Tensor::randn(dims.as_slice(), 1.0, &mut rng);
+            let bits = |kernel| {
+                with_kernel(kernel, || {
+                    let mut scratch = net.scratch();
+                    let out = net.forward_eval(&params, &batch, &mut scratch);
+                    out.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                })
+            };
+            let scalar = bits(GemmKernel::Scalar);
+            for kernel in GemmKernel::all().into_iter().filter(|k| k.supported()) {
+                assert_eq!(bits(kernel), scalar, "f32 forward differs under {kernel}");
+            }
+        }
     }
 
     #[test]

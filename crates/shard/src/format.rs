@@ -434,7 +434,7 @@ pub fn pack_stream(
         bytes: 0,
     };
     let mut writer: Option<ShardWriter> = None;
-    while let Ok(sample) = rx.recv() {
+    while let Some(sample) = rx.recv() {
         let w = match writer.as_mut() {
             Some(w) => w,
             None => {

@@ -6,8 +6,8 @@
 //! format, a streaming ingestion path with back-pressure, and an
 //! mmap-backed zero-copy reader that slots in behind the same
 //! [`SampleSource`](crossbow_data::SampleSource) trait the in-memory
-//! [`Dataset`](crossbow_data::Dataset) implements — so the trainer,
-//! prefetcher and distributed coordinator are agnostic to whether the
+//! [`Dataset`](crossbow_data::Dataset) implements — so the trainers
+//! and the distributed coordinator are agnostic to whether the
 //! data lives in RAM, on disk, or split across workers.
 //!
 //! - **Format** ([`mod@format`]): fixed 80-byte header, FNV-checksummed

@@ -30,8 +30,6 @@ pub enum SpanKind {
     SnapshotPublish,
     /// Fetching/gathering an input batch.
     BatchFetch,
-    /// Time spent blocked on the prefetch queue.
-    PrefetchWait,
     /// Held-out evaluation pass.
     Eval,
     /// Inference forward pass (serving).
@@ -59,7 +57,6 @@ impl SpanKind {
             SpanKind::CheckpointWrite => "checkpoint-write",
             SpanKind::SnapshotPublish => "snapshot-publish",
             SpanKind::BatchFetch => "batch-fetch",
-            SpanKind::PrefetchWait => "prefetch-wait",
             SpanKind::Eval => "eval",
             SpanKind::Infer => "infer",
             SpanKind::Copy => "copy",
@@ -71,14 +68,13 @@ impl SpanKind {
     }
 
     /// All kinds, in display order for breakdowns.
-    pub const ALL: [SpanKind; 14] = [
+    pub const ALL: [SpanKind; 13] = [
         SpanKind::Learn,
         SpanKind::LocalSync,
         SpanKind::GlobalSync,
         SpanKind::CheckpointWrite,
         SpanKind::SnapshotPublish,
         SpanKind::BatchFetch,
-        SpanKind::PrefetchWait,
         SpanKind::Eval,
         SpanKind::Infer,
         SpanKind::Copy,

@@ -231,8 +231,8 @@ impl Drop for ForceGuard {
 }
 
 /// Runs `f` with every GEMM on *this thread* forced onto `kernel`,
-/// regardless of what detection picked. The forced-fallback tests and
-/// `membench` use this to prove the scalar path serves the same bytes.
+/// regardless of what detection picked. The forced-fallback tests use
+/// this to prove the scalar path serves the same bytes.
 ///
 /// # Panics
 /// Panics when the CPU does not support `kernel`.
@@ -853,8 +853,7 @@ fn packed_parallel(
     let n_chunks = m.div_ceil(chunk);
     if n_chunks <= 1 {
         // One chunk is the whole problem: spawning a thread to run the
-        // serial kernel only adds scope/join overhead (measurably slower
-        // in BENCH_gemm.json), so run it inline.
+        // serial kernel only adds scope/join overhead, so run it inline.
         let mut a_pack = ws.take_pack(a_pack_len);
         let mut b_pack = ws.take_pack(b_pack_len);
         packed_serial_into(

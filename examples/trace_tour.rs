@@ -93,7 +93,7 @@ fn main() {
     println!("\nwrote {} -> open in chrome://tracing", path.display());
 
     // 5. The metrics half: counters, gauges and log2 latency histograms,
-    //    shared by the serving, prefetch and checkpoint runtimes.
+    //    shared by the serving, checkpoint and distributed runtimes.
     let m = &telemetry.metrics;
     m.counter("tour.widgets").add(3);
     m.gauge("tour.depth").set(7);

@@ -1,17 +1,12 @@
-//! Failure injection: stragglers, stalled pipelines and degenerate
+//! Failure injection: stragglers, stalled streams and degenerate
 //! configurations must degrade gracefully, not deadlock or corrupt state.
 
 use crossbow::autotuner::tune_to_convergence;
-use crossbow::data::augment::Augment;
-use crossbow::data::prefetch::{PrefetchConfig, Prefetcher};
-use crossbow::data::synth::gaussian_mixture;
 use crossbow::engine::{RobustnessConfig, Session, SessionConfig};
 use crossbow::exec_sim::{simulate, simulate_robust, RobustSimConfig, SimConfig};
 use crossbow::gpu_sim::{FaultPlan, KernelDesc, Machine, MachineConfig, SimDuration, SimTime};
 use crossbow::nn::ModelProfile;
 use crossbow::Benchmark;
-use std::sync::Arc;
-use std::time::Duration;
 
 #[test]
 fn straggler_gpu_delays_but_does_not_deadlock_the_collective() {
@@ -35,56 +30,6 @@ fn straggler_gpu_delays_but_does_not_deadlock_the_collective() {
         done[0].time > crossbow::gpu_sim::SimTime::from_nanos(400_000_000),
         "the collective waited for the straggler"
     );
-}
-
-#[test]
-fn slow_preprocessors_stall_but_recover() {
-    // §4.5: "when the pre-processors stall the pipeline because it takes
-    // more time to prepare the data on the CPU than to process it on a
-    // GPU" — consumers must block-and-recover, not fail.
-    let dataset = Arc::new(gaussian_mixture(4, 8, 64, 0.3, 1));
-    let prefetcher = Prefetcher::spawn(
-        dataset,
-        PrefetchConfig {
-            batch_size: 8,
-            threads: 1,
-            capacity: 2,
-            augment: Augment::none(),
-            slowdown: Duration::from_millis(100),
-            panic_after: None,
-            start: None,
-        },
-        9,
-    );
-    // Demand batches faster than they are produced.
-    let mut got = 0;
-    for _ in 0..5 {
-        if prefetcher.next_timeout(Duration::from_secs(10)).is_ok() {
-            got += 1;
-        }
-    }
-    assert_eq!(got, 5, "every request eventually served");
-}
-
-#[test]
-fn prefetcher_shutdown_under_backpressure_is_clean() {
-    // Producers blocked on a full buffer must notice shutdown.
-    let dataset = Arc::new(gaussian_mixture(4, 8, 64, 0.3, 1));
-    let prefetcher = Prefetcher::spawn(
-        dataset,
-        PrefetchConfig {
-            batch_size: 8,
-            threads: 3,
-            capacity: 1,
-            augment: Augment::standard(),
-            slowdown: Duration::ZERO,
-            panic_after: None,
-            start: None,
-        },
-        9,
-    );
-    std::thread::sleep(Duration::from_millis(50)); // let the buffer fill
-    drop(prefetcher); // must not hang
 }
 
 #[test]
