@@ -19,9 +19,9 @@ fn fnv_step(hash: u64, word: u64) -> u64 {
 
 /// FNV-1a, 64-bit, byte by byte: small, dependency-free, and plenty to
 /// detect the truncations and bit flips checkpointing cares about (this
-/// is integrity checking, not cryptography). Checkpoints, shards and
-/// quantized snapshots are sealed with it; wire frames use the
-/// word-wise [`fnv1a64_words`] instead.
+/// is integrity checking, not cryptography). Shards, quantized snapshots
+/// and version-2 checkpoints are sealed with it; wire frames and
+/// version-3 checkpoints use the word-wise [`fnv1a64_words`] instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes
         .iter()
@@ -29,7 +29,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a/64 over little-endian `u64` words in four independent lanes —
-/// the wire-frame checksum, fast because the lanes' multiplies overlap
+/// the wire-frame and checkpoint checksum, fast because the lanes' multiplies overlap
 /// instead of forming one dependent chain per byte.
 ///
 /// Word `i` of every 32-byte block feeds lane `i`; the lane states are

@@ -18,10 +18,13 @@
 //! * [`CheckpointStore`] — a directory of checkpoints with a retention
 //!   policy (keep the newest N plus every epoch-boundary checkpoint) and a
 //!   [`CheckpointStore::load_latest`] that detects truncated or bit-flipped
-//!   files and falls back to the most recent valid one.
+//!   files and falls back to the most recent valid one;
+//! * [`CheckpointWriter`] — the store's background writer, so a training
+//!   loop only captures a state and hands it over; joining the writer
+//!   puts every handed-over state on disk.
 //!
 //! The crate has no registry dependencies (the encoder is a hand-rolled
-//! little-endian byte codec, the checksum FNV-1a/64), matching the
+//! little-endian byte codec, the checksum word-wise FNV-1a/64), matching the
 //! workspace's offline-build rule.
 
 #![warn(missing_docs)]
@@ -33,6 +36,6 @@ pub mod store;
 
 pub use state::{AlgoState, DataCursor, TrainingState};
 pub use store::{
-    read_checkpoint, write_checkpoint, CheckpointError, CheckpointStore, Loaded, RetentionPolicy,
-    FORMAT_VERSION, MAGIC,
+    read_checkpoint, write_checkpoint, CheckpointError, CheckpointStore, CheckpointWriter, Loaded,
+    RetentionPolicy, FORMAT_VERSION, MAGIC,
 };

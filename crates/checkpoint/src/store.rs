@@ -8,9 +8,13 @@
 //! 8       4     format version (little-endian u32)
 //! 12      4     flags  (bit 0 = epoch-boundary checkpoint)
 //! 16      8     payload length in bytes
-//! 24      8     FNV-1a/64 checksum of the payload
+//! 24      8     checksum of the payload
 //! 32      n     payload ([`TrainingState::encode`])
 //! ```
+//!
+//! Version 3 seals the payload with the word-wise [`fnv1a64_words`]
+//! (the `CBW2` frame checksum); version-2 files, sealed with the
+//! byte-wise [`fnv1a64`], still load.
 //!
 //! ## Atomicity
 //!
@@ -21,6 +25,17 @@
 //! checkpoint. A stray `.tmp` from a crash mid-write is ignored by the
 //! loader and overwritten by the next save.
 //!
+//! ## The background writer
+//!
+//! [`CheckpointStore::writer`] moves saves off the caller's thread: one
+//! writer thread takes owned states through a hand-off with room for one
+//! waiting state, so [`CheckpointWriter::submit`] blocks only while a
+//! state is already waiting. Every submitted state is written, in order;
+//! none is skipped or coalesced. [`CheckpointWriter::finish`] (or dropping
+//! the writer, also during unwinding) joins the thread, so a state handed
+//! over is on disk when the caller returns. The first failed write stops
+//! the writer; every later `submit`, and `finish`, returns an error.
+//!
 //! ## Corruption handling
 //!
 //! [`CheckpointStore::load_latest`] walks checkpoints newest-first and
@@ -29,22 +44,25 @@
 //! A truncated or bit-flipped newest checkpoint therefore costs the
 //! iterations since the previous one, not the run.
 
-use crate::codec::fnv1a64;
+use crate::codec::{fnv1a64, fnv1a64_words};
 use crate::state::TrainingState;
 use crossbow_telemetry::MetricsRegistry;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"CBWCKPT\x01";
 
-/// Current format version. Version 2 added the partition-group count to
+/// Current format version. Version 3 seals the payload with the
+/// word-wise [`fnv1a64_words`]; version 2 (byte-wise [`fnv1a64`], same
+/// payload) is still read. Version 2 added the partition-group count to
 /// the data cursor; version-1 checkpoints are refused (the payload is not
 /// forward-decodable) and a run restarts from scratch.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 32;
 const FLAG_EPOCH_BOUNDARY: u32 = 1;
@@ -93,23 +111,23 @@ pub fn write_checkpoint(
     epoch_boundary: bool,
 ) -> Result<usize, CheckpointError> {
     let payload = state.encode();
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     let flags = if epoch_boundary {
         FLAG_EPOCH_BOUNDARY
     } else {
         0
     };
-    bytes.extend_from_slice(&flags.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    let mut header = [0u8; HEADER_LEN];
+    header[0..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&flags.to_le_bytes());
+    header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&fnv1a64_words(&payload).to_le_bytes());
 
     let tmp = path.with_extension("tmp");
     {
         let mut file = fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        file.write_all(&header)?;
+        file.write_all(&payload)?;
         file.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -120,7 +138,7 @@ pub fn write_checkpoint(
             let _ = d.sync_all();
         }
     }
-    Ok(bytes.len())
+    Ok(HEADER_LEN + payload.len())
 }
 
 /// Reads and fully validates a checkpoint file, returning the state and
@@ -141,9 +159,11 @@ pub fn read_checkpoint(path: &Path) -> Result<(TrainingState, bool), CheckpointE
         return Err(corrupt("bad magic"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4"));
-    if version != FORMAT_VERSION {
-        return Err(corrupt(format!("unsupported format version {version}")));
-    }
+    let checksum_of: fn(&[u8]) -> u64 = match version {
+        FORMAT_VERSION => fnv1a64_words,
+        2 => fnv1a64,
+        _ => return Err(corrupt(format!("unsupported format version {version}"))),
+    };
     let flags = u32::from_le_bytes(bytes[12..16].try_into().expect("4"));
     let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8")) as usize;
     let checksum = u64::from_le_bytes(bytes[24..32].try_into().expect("8"));
@@ -155,7 +175,7 @@ pub fn read_checkpoint(path: &Path) -> Result<(TrainingState, bool), CheckpointE
         )));
     }
     let payload = &bytes[HEADER_LEN..];
-    if fnv1a64(payload) != checksum {
+    if checksum_of(payload) != checksum {
         return Err(corrupt("checksum mismatch"));
     }
     let state = TrainingState::decode(payload).map_err(|e| corrupt(e.to_string()))?;
@@ -373,6 +393,102 @@ impl CheckpointStore {
         }
         Err(last_err.expect("non-empty entries with no success has an error"))
     }
+
+    /// Starts this store's background writer: one thread that
+    /// [`save`](CheckpointStore::save)s every state handed to it, in
+    /// order, recording the store's metrics as it goes.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Io`] when the thread cannot be spawned.
+    pub fn writer(&self) -> Result<CheckpointWriter, CheckpointError> {
+        let (tx, rx) = mpsc::sync_channel::<(TrainingState, bool)>(1);
+        let store = self.clone();
+        let thread = std::thread::Builder::new()
+            .name("checkpoint-writer".into())
+            .spawn(move || {
+                for (state, epoch_boundary) in rx {
+                    store.save(&state, epoch_boundary)?;
+                }
+                Ok(())
+            })?;
+        Ok(CheckpointWriter {
+            tx: Some(tx),
+            thread: Some(thread),
+        })
+    }
+}
+
+/// The handle of a [`CheckpointStore::writer`] thread.
+///
+/// Dropping the handle joins the thread after it has written every state
+/// already handed over, exactly like [`CheckpointWriter::finish`] but
+/// discarding the outcome; this also holds while a panic unwinds.
+#[derive(Debug)]
+pub struct CheckpointWriter {
+    /// `None` once the writer was joined.
+    tx: Option<mpsc::SyncSender<(TrainingState, bool)>>,
+    thread: Option<JoinHandle<Result<(), CheckpointError>>>,
+}
+
+impl CheckpointWriter {
+    /// Hands `state` to the writer thread. Returns at once unless a
+    /// state is already waiting behind the one being written; then it
+    /// blocks until the writer takes that one.
+    ///
+    /// # Errors
+    /// The writer's first write error when it has failed (the writer is
+    /// then joined), and [`CheckpointError::Io`] for every call after
+    /// that.
+    pub fn submit(
+        &mut self,
+        state: TrainingState,
+        epoch_boundary: bool,
+    ) -> Result<(), CheckpointError> {
+        let Some(tx) = &self.tx else {
+            return Err(stopped());
+        };
+        if tx.send((state, epoch_boundary)).is_ok() {
+            return Ok(());
+        }
+        // The thread hung up: it returned its first write error.
+        Err(self.join().err().unwrap_or_else(stopped))
+    }
+
+    /// Waits until every handed-over state is on disk and joins the
+    /// writer thread.
+    ///
+    /// # Errors
+    /// The writer's first write error, or [`CheckpointError::Io`] when a
+    /// `submit` already returned it.
+    pub fn finish(mut self) -> Result<(), CheckpointError> {
+        self.join()
+    }
+
+    /// Closes the hand-off (the thread drains it, then exits) and joins.
+    fn join(&mut self) -> Result<(), CheckpointError> {
+        self.tx = None;
+        match self.thread.take() {
+            Some(thread) => thread.join().unwrap_or_else(|_| {
+                Err(CheckpointError::Io(std::io::Error::other(
+                    "the checkpoint writer panicked",
+                )))
+            }),
+            None => Err(stopped()),
+        }
+    }
+}
+
+/// What a writer that already reported its failure answers.
+fn stopped() -> CheckpointError {
+    CheckpointError::Io(std::io::Error::other(
+        "the checkpoint writer stopped after an earlier error",
+    ))
+}
+
+impl Drop for CheckpointWriter {
+    fn drop(&mut self) {
+        let _ = self.join();
+    }
 }
 
 #[cfg(test)]
@@ -572,6 +688,118 @@ mod tests {
                 .total(),
             2
         );
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_still_loads() {
+        // A v2 file laid out by hand: the v3 header and payload, sealed
+        // with the byte-wise FNV-1a loop the v2 writer ran.
+        let dir = scratch("v2");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let state = state_at(10);
+        let payload = state.encode();
+        let mut checksum: u64 = 0xCBF2_9CE4_8422_2325;
+        for &b in &payload {
+            checksum = (checksum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        let mut bytes = b"CBWCKPT\x01".to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&FLAG_EPOCH_BOUNDARY.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let path = dir.join("ckpt-000000000010-epoch.cbck");
+        fs::write(&path, &bytes).expect("write");
+        assert_eq!(
+            read_checkpoint(&path).expect("v2 loads"),
+            (state.clone(), true)
+        );
+        let store = CheckpointStore::open(&dir, RetentionPolicy::default()).expect("open");
+        assert_eq!(
+            store.load_latest().expect("load").expect("present").state,
+            state
+        );
+        // The v2 reader still checks its checksum.
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        fs::write(&path, &bytes).expect("rewrite");
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn version_3_seals_the_payload_word_wise() {
+        let store = CheckpointStore::open(scratch("v3"), RetentionPolicy::default()).expect("open");
+        let path = store.save(&state_at(10), false).expect("save");
+        let bytes = fs::read(&path).expect("read");
+        assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+        assert_eq!(
+            bytes[24..32],
+            crate::codec::fnv1a64_words(&bytes[HEADER_LEN..]).to_le_bytes()
+        );
+    }
+
+    fn iterations_on_disk(store: &CheckpointStore) -> Vec<u64> {
+        let list = store.list().expect("list");
+        list.iter()
+            .map(|p| read_checkpoint(p).expect("valid").0.iterations)
+            .collect()
+    }
+
+    #[test]
+    fn the_writer_writes_every_state_in_order_before_it_is_joined() {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let keep_all = RetentionPolicy {
+            keep_last: usize::MAX,
+            keep_epoch_boundaries: true,
+        };
+        let store = CheckpointStore::open(scratch("writer"), keep_all)
+            .expect("open")
+            .with_metrics(Arc::clone(&metrics));
+        let mut writer = store.writer().expect("spawn");
+        for i in 1..=20 {
+            writer.submit(state_at(i), false).expect("submit");
+        }
+        writer.finish().expect("every write succeeded");
+        assert_eq!(iterations_on_disk(&store), (1..=20).collect::<Vec<_>>());
+        assert_eq!(metrics.counter("checkpoint.writes").get(), 20);
+
+        // Dropping the handle joins too: the states are on disk and the
+        // thread (which held a clone of the store) is gone.
+        let mut writer = store.writer().expect("spawn");
+        for i in 21..=25 {
+            writer.submit(state_at(i), false).expect("submit");
+        }
+        drop(writer);
+        assert_eq!(iterations_on_disk(&store), (1..=25).collect::<Vec<_>>());
+        assert_eq!(Arc::strong_count(&metrics), 2, "test + store");
+    }
+
+    #[test]
+    fn a_failed_write_stops_the_writer_with_a_typed_error() {
+        let store =
+            CheckpointStore::open(scratch("writefail"), RetentionPolicy::default()).expect("open");
+        // A directory where the temp file of iteration 2 goes: creating
+        // it fails even for root.
+        fs::create_dir(store.dir().join("ckpt-000000000002.tmp")).expect("mkdir");
+        let mut writer = store.writer().expect("spawn");
+        writer
+            .submit(state_at(1), false)
+            .expect("nothing failed yet");
+        // The failure surfaces within two more hand-offs: one state may
+        // wait while iteration 2 is being tried.
+        let err = (2..=4)
+            .find_map(|i| writer.submit(state_at(i), false).err())
+            .expect("the failed write stops the writer");
+        assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");
+        assert!(matches!(
+            writer.submit(state_at(5), false),
+            Err(CheckpointError::Io(_))
+        ));
+        assert!(matches!(writer.finish(), Err(CheckpointError::Io(_))));
+        assert_eq!(iterations_on_disk(&store), vec![1]);
     }
 
     #[test]

@@ -484,7 +484,8 @@ impl Coordinator {
     ///
     /// # Panics
     /// Panics when the cluster cannot form (or re-form) within
-    /// `join_timeout`, and on trainer-level mismatches.
+    /// `join_timeout`, on trainer-level mismatches, and when a durable
+    /// checkpoint cannot be written.
     pub fn run(
         &self,
         net: &Network,

@@ -411,7 +411,7 @@ impl Session {
     ///
     /// # Errors
     /// [`CheckpointError::Io`] when the configured checkpoint directory
-    /// cannot be created or read.
+    /// cannot be created or read, or a checkpoint cannot be written.
     pub fn train_statistics(&self, m: usize) -> Result<TrainingCurve, CheckpointError> {
         let c = &self.config;
         let net = c.benchmark.network();
@@ -480,7 +480,7 @@ impl Session {
     ///
     /// # Errors
     /// [`CheckpointError::Io`] when the configured checkpoint directory
-    /// cannot be created or read.
+    /// cannot be created or read, or a checkpoint cannot be written.
     pub fn run(&self) -> Result<TrainingReport, CheckpointError> {
         let (m, sim) = match self.recorded_learners() {
             Some(m) => (m, self.measure_hardware(m)),

@@ -38,6 +38,7 @@ use crossbow_sync::CheckpointConfig;
 use crossbow_telemetry::{SpanKind, Telemetry, HOST_DEVICE};
 use crossbow_tensor::ops;
 use crossbow_tensor::stats::WindowedMedian;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Algorithm tag written into the runtime's checkpoints; a store holding
@@ -124,6 +125,10 @@ struct CentralModel {
     /// (version, z); version counts completed global syncs.
     state: Mutex<(u64, Arc<Vec<f32>>)>,
     ready: Condvar,
+    /// Set when the task manager stops early; waiting learners then stop
+    /// too. Written and read only while holding `state`'s lock, which
+    /// orders it, so `Relaxed` suffices.
+    aborted: AtomicBool,
 }
 
 impl CentralModel {
@@ -131,16 +136,29 @@ impl CentralModel {
         CentralModel {
             state: Mutex::new((0, Arc::new(init))),
             ready: Condvar::new(),
+            aborted: AtomicBool::new(false),
         }
     }
 
-    /// Blocks until version >= `version`, returning that snapshot.
-    fn wait_for(&self, version: u64) -> Arc<Vec<f32>> {
+    /// Blocks until version >= `version`, returning that snapshot, or
+    /// `None` once the run is aborted.
+    fn wait_for(&self, version: u64) -> Option<Arc<Vec<f32>>> {
         let mut guard = self.state.lock().expect("central-model lock poisoned");
         while guard.0 < version {
+            if self.aborted.load(Ordering::Relaxed) {
+                return None;
+            }
             guard = self.ready.wait(guard).expect("central-model lock poisoned");
         }
-        Arc::clone(&guard.1)
+        Some(Arc::clone(&guard.1))
+    }
+
+    /// Stops the run: every learner waiting for a version that will not
+    /// come returns from [`CentralModel::wait_for`] with `None`.
+    fn abort(&self) {
+        let _guard = self.state.lock().expect("central-model lock poisoned");
+        self.aborted.store(true, Ordering::Relaxed);
+        self.ready.notify_all();
     }
 
     /// Publishes a new version, returning the displaced snapshot so the
@@ -173,7 +191,8 @@ struct Contribution {
 ///
 /// # Errors
 /// [`CheckpointError::Io`] when the checkpoint directory cannot be
-/// created or read.
+/// created or read, or a checkpoint cannot be written; the run stops at
+/// the first failed write.
 ///
 /// # Panics
 /// Panics on configuration mismatches (empty model, zero learners, batch
@@ -227,6 +246,9 @@ pub fn train_concurrent(
         }
     }
 
+    // Checkpoints are written off the manager lane; the writer is joined
+    // before this function returns (dropped on unwind).
+    let mut writer = store.as_ref().map(CheckpointStore::writer).transpose()?;
     let central = Arc::new(CentralModel::new(init.clone()));
     let (tx, rx) = std::sync::mpsc::channel::<Contribution>();
     // All timing — spans *and* the report's throughput — runs off the
@@ -322,7 +344,9 @@ pub fn train_concurrent(
                     // Local synchronisation task: needs the average model
                     // of the previous iteration (Figure 8, point d).
                     let t_local = shard.now_ns();
-                    let z = central.wait_for(iteration);
+                    let Some(z) = central.wait_for(iteration) else {
+                        break;
+                    };
                     ops::scaled_diff(alpha, &replica, &z, &mut correction);
                     for ((w, &g), &c) in replica.iter_mut().zip(grad.iter()).zip(correction.iter())
                     {
@@ -385,7 +409,9 @@ pub fn train_concurrent(
         // Recycled storage for published snapshots: once every learner has
         // dropped an old version, its Vec comes back here.
         let mut snapshot_pool: Vec<Vec<f32>> = Vec::new();
-        while let Ok(msg) = rx.recv() {
+        // The first failed checkpoint write stops the run.
+        let mut failure = None;
+        'manager: while let Ok(msg) = rx.recv() {
             let entry = pending
                 .entry(msg.iteration)
                 .or_insert_with(|| (0, Vec::new(), 0));
@@ -459,7 +485,7 @@ pub fn train_concurrent(
                     current_epoch = epoch;
                     report.final_accuracy = acc;
                 }
-                if let (Some(store), Some(ck)) = (store.as_ref(), config.checkpoint.as_ref()) {
+                if let (Some(writer), Some(ck)) = (writer.as_mut(), config.checkpoint.as_ref()) {
                     let save_boundary = boundary && ck.at_epoch_boundaries;
                     let periodic = ck.every > 0 && report.iterations.is_multiple_of(ck.every);
                     if save_boundary || periodic {
@@ -488,9 +514,11 @@ pub fn train_concurrent(
                             ..TrainingState::default()
                         };
                         let t_ck = shard.now_ns();
-                        store
-                            .save(&state, save_boundary)
-                            .expect("checkpoint write failed");
+                        if let Err(e) = writer.submit(state, save_boundary) {
+                            central.abort();
+                            failure = Some(e);
+                            break 'manager;
+                        }
                         shard.close(
                             SpanKind::CheckpointWrite,
                             "checkpoint-write",
@@ -503,10 +531,16 @@ pub fn train_concurrent(
                 }
             }
         }
+        if let Some(e) = failure {
+            return Err(e);
+        }
         let elapsed_secs = (recorder.now_ns().saturating_sub(start_ns)) as f64 / 1e9;
         report.throughput = samples as f64 / elapsed_secs.max(1e-9);
-        report
-    });
+        Ok(report)
+    })?;
+    if let Some(writer) = writer {
+        writer.finish()?;
+    }
     Ok(report)
 }
 
@@ -609,6 +643,30 @@ mod tests {
             "first epoch after warm start should not regress to random: {}",
             second.epoch_accuracy[0]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_checkpoint_write_stops_the_run_with_a_typed_error() {
+        let (net, train_set, test_set) = setup();
+        let dir = std::env::temp_dir().join(format!(
+            "crossbow-cpu-engine-writefail-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory where the save of iteration 10 puts its temp file:
+        // creating that file fails even for root.
+        std::fs::create_dir_all(dir.join("ckpt-000000000010.tmp")).expect("mkdir");
+        let mut cfg = CpuEngineConfig::new(2, 8);
+        cfg.max_epochs = 4;
+        cfg.checkpoint = Some(CheckpointConfig::new(&dir).every(5));
+        let err = train_concurrent(&net, &train_set, &test_set, &cfg)
+            .expect_err("the save at iteration 10 cannot be written");
+        assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");
+        // Nothing after the failed write was written.
+        let store = CheckpointConfig::new(&dir).store().expect("store");
+        let loaded = store.load_latest().expect("load").expect("present");
+        assert_eq!(loaded.state.iterations, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

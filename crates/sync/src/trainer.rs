@@ -14,7 +14,8 @@
 use crate::algorithm::{AlgoSnapshot, SyncAlgorithm};
 use crate::schedule::LrSchedule;
 use crossbow_checkpoint::{
-    AlgoState, CheckpointError, CheckpointStore, DataCursor, RetentionPolicy, TrainingState,
+    AlgoState, CheckpointError, CheckpointStore, CheckpointWriter, DataCursor, RetentionPolicy,
+    TrainingState,
 };
 use crossbow_data::{BatchSampler, PartitionPlan, PartitionSampler, SampleSource};
 use crossbow_nn::{Network, Scratch};
@@ -446,7 +447,10 @@ pub trait GradientSource {
 /// Trains `algo` on `train_set`, evaluating on `test_set` at epoch ends.
 ///
 /// # Panics
-/// Panics on configuration/dataset/network mismatches.
+/// Panics on configuration/dataset/network mismatches, and — on the
+/// calling thread, with the [`CheckpointError`] in the message — when the
+/// checkpoint directory cannot be opened or a durable checkpoint cannot
+/// be written ([`resume`] returns that error instead).
 pub fn train(
     net: &Network,
     train_set: &dyn SampleSource,
@@ -461,7 +465,7 @@ pub fn train(
 /// [`train`] with an explicit gradient source (e.g. a remote cluster).
 ///
 /// # Panics
-/// Panics on configuration/dataset/network mismatches.
+/// As [`train`].
 pub fn train_with_source(
     net: &Network,
     train_set: &dyn SampleSource,
@@ -475,7 +479,15 @@ pub fn train_with_source(
         .as_ref()
         .map(|ckpt| ckpt.store().expect("cannot open the checkpoint directory"))
         .map(|s| attach_metrics(s, config));
-    run(net, train_set, test_set, algo, config, None, store, source)
+    or_panic(run(
+        net, train_set, test_set, algo, config, None, store, source,
+    ))
+}
+
+/// The infallible entry points' answer to a failed checkpoint write: a
+/// panic on the caller's thread that names the error.
+fn or_panic(run: Result<TrainingCurve, CheckpointError>) -> TrainingCurve {
+    run.unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
 }
 
 /// Wires the telemetry metrics registry into a checkpoint store so saves
@@ -499,7 +511,8 @@ fn attach_metrics(store: CheckpointStore, config: &TrainerConfig) -> CheckpointS
 ///
 /// # Errors
 /// [`CheckpointError::Io`] when the checkpoint directory cannot be
-/// created or read.
+/// created or read, or a durable checkpoint cannot be written; the run
+/// stops at the first failed write.
 ///
 /// # Panics
 /// Panics on configuration/dataset/network mismatches.
@@ -517,8 +530,7 @@ pub fn resume(
 /// [`resume`] with an explicit gradient source (e.g. a remote cluster).
 ///
 /// # Errors
-/// [`CheckpointError::Io`] when the checkpoint directory cannot be
-/// created or read.
+/// As [`resume`].
 ///
 /// # Panics
 /// Panics on configuration/dataset/network mismatches.
@@ -551,9 +563,9 @@ pub fn resume_with_source(
         };
         store = Some(attach_metrics(opened, config));
     }
-    Ok(run(
+    run(
         net, train_set, test_set, algo, config, restored, store, source,
-    ))
+    )
 }
 
 /// [`train_with_source`] seeded from an in-memory [`TrainingState`] — the
@@ -566,10 +578,9 @@ pub fn resume_with_source(
 /// produced: curve and model are bit-identical to an undisturbed run.
 ///
 /// # Panics
-/// Panics on configuration/dataset/network mismatches, or when `state`
-/// does not fit the run (seed, algorithm, or parameter-count mismatch) —
-/// a takeover that silently retrained from scratch would violate the
-/// failover bit-identity invariant.
+/// As [`train`], or when `state` does not fit the run (seed, algorithm,
+/// or parameter-count mismatch) — a takeover that silently retrained
+/// from scratch would violate the failover bit-identity invariant.
 pub fn train_from_state_with_source(
     net: &Network,
     train_set: &dyn SampleSource,
@@ -600,7 +611,9 @@ pub fn train_from_state_with_source(
         .as_ref()
         .map(|ckpt| ckpt.store().expect("cannot open the checkpoint directory"))
         .map(|s| attach_metrics(s, config));
-    run(net, train_set, test_set, algo, config, state, store, source)
+    or_panic(run(
+        net, train_set, test_set, algo, config, state, store, source,
+    ))
 }
 
 /// Mutable loop state beyond the curve itself — bundled so the
@@ -617,22 +630,23 @@ struct Progress {
     guard: Option<AlgoSnapshot>,
 }
 
-fn snapshot_to_state(snap: &AlgoSnapshot) -> AlgoState {
+/// Moves a snapshot's vectors into the durable form, copying nothing.
+fn snapshot_into_state(snap: AlgoSnapshot) -> AlgoState {
     AlgoState {
-        center: snap.center.clone(),
-        center_prev: snap.center_prev.clone(),
-        replicas: snap.replicas.clone(),
-        aux: snap.aux.clone(),
+        center: snap.center,
+        center_prev: snap.center_prev,
+        replicas: snap.replicas,
+        aux: snap.aux,
         iter: snap.iter,
     }
 }
 
-fn state_to_snapshot(state: &AlgoState) -> AlgoSnapshot {
+fn state_into_snapshot(state: AlgoState) -> AlgoSnapshot {
     AlgoSnapshot {
-        center: state.center.clone(),
-        center_prev: state.center_prev.clone(),
-        replicas: state.replicas.clone(),
-        aux: state.aux.clone(),
+        center: state.center,
+        center_prev: state.center_prev,
+        replicas: state.replicas,
+        aux: state.aux,
         iter: state.iter,
     }
 }
@@ -700,8 +714,10 @@ impl Sampling {
     }
 }
 
-/// Captures the run's complete durable state. Returns `None` when the
-/// algorithm does not support snapshots (nothing useful to persist).
+/// Captures the run's complete durable state: the algorithm's snapshot
+/// moves in whole, only the guard's (kept for rollback) is copied.
+/// Returns `None` when the algorithm does not support snapshots (nothing
+/// useful to persist).
 fn capture_state(
     algo: &dyn SyncAlgorithm,
     sampler: &Sampling,
@@ -730,38 +746,47 @@ fn capture_state(
             batch: batch as u64,
             groups: sampler.groups(),
         },
-        algo: snapshot_to_state(&snap),
-        guard: progress.guard.as_ref().map(snapshot_to_state),
+        algo: snapshot_into_state(snap),
+        guard: progress.guard.clone().map(snapshot_into_state),
         rngs: sampler.rng_states(),
         learners_per_gpu: config.checkpoint.as_ref().map_or(0, |c| c.learners_per_gpu),
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    store: &CheckpointStore,
-    algo: &dyn SyncAlgorithm,
-    sampler: &Sampling,
-    curve: &TrainingCurve,
-    config: &TrainerConfig,
-    progress: &Progress,
+/// Hands a captured state to the background writer. The
+/// `checkpoint-write` span brackets the hand-off, including any wait for
+/// the writer to take the state already waiting: exactly what the
+/// training loop stalls on.
+fn hand_over(
+    writer: &mut CheckpointWriter,
+    state: TrainingState,
     epoch_boundary: bool,
     shard: &mut Shard,
-) {
-    if let Some(state) = capture_state(algo, sampler, curve, config, progress) {
-        let t = shard.now_ns();
-        store
-            .save(&state, epoch_boundary)
-            .expect("checkpoint write failed");
-        shard.close(
-            SpanKind::CheckpointWrite,
-            "checkpoint-write",
-            t,
-            HOST_DEVICE,
-            0,
-            Some(curve.iterations),
-        );
+) -> Result<(), CheckpointError> {
+    let iterations = state.iterations;
+    let t = shard.now_ns();
+    writer.submit(state, epoch_boundary)?;
+    shard.close(
+        SpanKind::CheckpointWrite,
+        "checkpoint-write",
+        t,
+        HOST_DEVICE,
+        0,
+        Some(iterations),
+    );
+    Ok(())
+}
+
+/// Joins the checkpoint writer before the run returns, so every state it
+/// handed over is on disk (or its write error is the run's result).
+fn finish(
+    writer: Option<CheckpointWriter>,
+    curve: TrainingCurve,
+) -> Result<TrainingCurve, CheckpointError> {
+    if let Some(writer) = writer {
+        writer.finish()?;
     }
+    Ok(curve)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -774,7 +799,7 @@ fn run(
     restored: Option<TrainingState>,
     store: Option<CheckpointStore>,
     source: &mut dyn GradientSource,
-) -> TrainingCurve {
+) -> Result<TrainingCurve, CheckpointError> {
     assert_eq!(
         algo.param_len(),
         net.param_len(),
@@ -842,7 +867,7 @@ fn run(
 
     if let Some(st) = restored {
         assert!(
-            algo.restore(&state_to_snapshot(&st.algo)),
+            algo.restore(&state_into_snapshot(st.algo)),
             "checkpoint does not fit this algorithm"
         );
         assert_eq!(
@@ -875,17 +900,21 @@ fn run(
         progress.epoch_loss_sum = st.epoch_loss_sum;
         progress.epoch_loss_count = st.epoch_loss_count;
         progress.best_accuracy = st.best_accuracy;
-        progress.guard = match &st.guard {
-            Some(g) => Some(state_to_snapshot(g)),
+        progress.guard = match st.guard {
+            Some(g) => Some(state_into_snapshot(g)),
             None => config.guard.and_then(|_| algo.snapshot()),
         };
         // A checkpoint written at completion resumes to a finished run.
         let done_target = config.target_accuracy.is_some() && curve.epochs_to_target.is_some();
         if curve.epoch_accuracy.len() >= config.max_epochs || done_target {
             curve.final_accuracy = curve.epoch_accuracy.last().copied().unwrap_or(0.0);
-            return curve;
+            return Ok(curve);
         }
     }
+
+    // Durable checkpoints are written off this thread; dropping the
+    // writer (on `?` or a panic) joins it like `finish` does.
+    let mut writer = store.as_ref().map(CheckpointStore::writer).transpose()?;
 
     // Pre-build the per-learner gradient vectors once; the loop below then
     // runs allocation-flat (§4.5) as long as the learner count is stable
@@ -1020,7 +1049,8 @@ fn run(
             }
         }
 
-        let mut saved_this_iter = false;
+        // `Some(epoch_boundary)` when a durable checkpoint falls due.
+        let mut save = None;
         if sampler.epoch() > progress.current_epoch {
             // Epoch boundary: evaluate, record, handle schedule changes.
             let t_eval = shard.now_ns();
@@ -1078,12 +1108,12 @@ fn run(
                 curve.final_accuracy = acc;
                 // A final checkpoint: resuming a finished run is a no-op
                 // instead of silently training past its stopping point.
-                if let Some(store) = &store {
-                    save_checkpoint(
-                        store, algo, &sampler, &curve, config, &progress, true, &mut shard,
-                    );
+                if let Some(w) = writer.as_mut() {
+                    if let Some(state) = capture_state(algo, &sampler, &curve, config, &progress) {
+                        hand_over(w, state, true, &mut shard)?;
+                    }
                 }
-                return curve;
+                return finish(writer, curve);
             }
             progress.current_epoch = sampler.epoch();
             if config.schedule.changes_at(progress.current_epoch) {
@@ -1091,32 +1121,42 @@ fn run(
             }
             // Saved *after* the learning-rate restart so the restored
             // state reflects the post-restart algorithm, not a hybrid.
-            if let (Some(store), Some(ckpt)) = (&store, &config.checkpoint) {
-                if ckpt.at_epoch_boundaries {
-                    save_checkpoint(
-                        store, algo, &sampler, &curve, config, &progress, true, &mut shard,
-                    );
-                    saved_this_iter = true;
-                }
+            if config
+                .checkpoint
+                .as_ref()
+                .is_some_and(|c| c.at_epoch_boundaries)
+            {
+                save = Some(true);
             }
         }
-        if !saved_this_iter {
-            if let (Some(store), Some(ckpt)) = (&store, &config.checkpoint) {
-                if ckpt.every > 0 && curve.iterations.is_multiple_of(ckpt.every) {
-                    save_checkpoint(
-                        store, algo, &sampler, &curve, config, &progress, false, &mut shard,
-                    );
-                }
+        if let (None, Some(ckpt)) = (save, &config.checkpoint) {
+            if ckpt.every > 0 && curve.iterations.is_multiple_of(ckpt.every) {
+                save = Some(false);
             }
         }
-        if let Some(hook) = &config.state_hook {
-            // End-of-iteration replication tap: the captured state is the
-            // same post-step snapshot a durable checkpoint would persist
-            // (cursor points at the next batch), so a standby resuming
-            // from it replays the rest of the run bit-identically.
-            if curve.iterations.is_multiple_of(hook.every()) {
-                if let Some(state) = capture_state(algo, &sampler, &curve, config, &progress) {
-                    hook.publish(state);
+        // End-of-iteration replication tap: the captured state is the
+        // same post-step snapshot a durable checkpoint persists (cursor
+        // points at the next batch), so a standby resuming from it
+        // replays the rest of the run bit-identically.
+        let hook = config
+            .state_hook
+            .as_ref()
+            .filter(|hook| curve.iterations.is_multiple_of(hook.every()));
+        let save = writer.as_mut().zip(save);
+        if save.is_some() || hook.is_some() {
+            // One capture per iteration: when both fall due, the hook
+            // gets a copy of the state the writer gets.
+            if let Some(state) = capture_state(algo, &sampler, &curve, config, &progress) {
+                match (save, hook) {
+                    (Some((w, boundary)), hook) => {
+                        let copy = hook.map(|hook| (hook, state.clone()));
+                        hand_over(w, state, boundary, &mut shard)?;
+                        if let Some((hook, state)) = copy {
+                            hook.publish(state);
+                        }
+                    }
+                    (None, Some(hook)) => hook.publish(state),
+                    (None, None) => {}
                 }
             }
         }
@@ -1124,7 +1164,7 @@ fn run(
             // Simulated host crash: abandon the run mid-flight. Durable
             // checkpoints survive on disk; the returned curve is partial.
             curve.final_accuracy = curve.epoch_accuracy.last().copied().unwrap_or(0.0);
-            return curve;
+            return finish(writer, curve);
         }
     }
 }
@@ -1252,6 +1292,7 @@ mod tests {
     use crossbow_data::synth::gaussian_mixture;
     use crossbow_nn::zoo::mlp;
     use crossbow_tensor::Rng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn setup() -> (Network, crossbow_data::Dataset, crossbow_data::Dataset) {
         let net = mlp(6, &[16], 4);
@@ -1483,6 +1524,185 @@ mod tests {
             .expect_err("a file is not a checkpoint directory");
         assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A scratch path unique to this process and `tag`, emptied.
+    fn scratch_path(tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("crossbow-trainer-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Checkpoints into `dir` after every iteration, keeping every file.
+    fn keep_all(dir: &std::path::Path) -> CheckpointConfig {
+        CheckpointConfig::new(dir).every(1).keep_last(usize::MAX)
+    }
+
+    /// A publish hook that, after iteration `at`, replaces the checkpoint
+    /// directory with a plain file (which fails `File::create` even for
+    /// root), and logs every iteration it sees.
+    fn occupy_dir_after(dir: &std::path::Path, at: u64, seen: Arc<AtomicU64>) -> PublishHook {
+        let dir = dir.to_path_buf();
+        PublishHook::new(1, move |iteration, _| {
+            seen.store(iteration, Ordering::SeqCst);
+            // The writer may be mid-save inside the directory: retry
+            // until the path is a plain file.
+            while iteration == at && !dir.is_file() {
+                let _ = std::fs::remove_dir_all(&dir);
+                let _ = std::fs::write(&dir, b"occupied");
+            }
+        })
+    }
+
+    #[test]
+    fn resume_surfaces_a_failed_checkpoint_write() {
+        let (net, train_set, test_set) = setup();
+        let dir = scratch_path("writefail");
+        let seen = Arc::new(AtomicU64::new(0));
+        let mut algo = Sma::new(net.init_params(&mut Rng::new(1)), 2, SmaConfig::default());
+        let cfg = TrainerConfig::new(8, 4)
+            .with_checkpointing(keep_all(&dir))
+            .with_publish(occupy_dir_after(&dir, 10, Arc::clone(&seen)));
+        let err = resume(&net, &train_set, &test_set, &mut algo, &cfg)
+            .expect_err("a file is not a checkpoint directory");
+        assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");
+        // One state is being written and one waits: the third hand-off
+        // after the failure at the latest reports it.
+        let last = seen.load(Ordering::SeqCst);
+        assert!(
+            (10..=12).contains(&last),
+            "the run went on to iteration {last}"
+        );
+        let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint write failed: checkpoint I/O error")]
+    fn train_panics_on_the_callers_thread_when_a_checkpoint_write_fails() {
+        let (net, train_set, test_set) = setup();
+        let dir = scratch_path("writefail-panic");
+        let seen = Arc::new(AtomicU64::new(0));
+        let mut algo = Sma::new(net.init_params(&mut Rng::new(1)), 2, SmaConfig::default());
+        let cfg = TrainerConfig::new(8, 4)
+            .with_checkpointing(keep_all(&dir))
+            .with_publish(occupy_dir_after(&dir, 10, seen));
+        let _ = train(&net, &train_set, &test_set, &mut algo, &cfg);
+    }
+
+    /// `(iterations, epoch_boundary)` of every checkpoint in `dir`, in
+    /// store order.
+    fn on_disk(dir: &std::path::Path) -> Vec<(u64, bool)> {
+        let store = keep_all(dir).store().expect("store");
+        let paths = store.list().expect("list");
+        paths
+            .iter()
+            .map(|p| {
+                let (state, boundary) = crossbow_checkpoint::read_checkpoint(p).expect("valid");
+                (state.iterations, boundary)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_due_save_is_on_disk_when_the_run_returns() {
+        let (net, train_set, test_set) = setup();
+        let dir = scratch_path("every-save");
+        let mut algo = Sma::new(net.init_params(&mut Rng::new(1)), 2, SmaConfig::default());
+        let cfg = TrainerConfig::new(8, 2).with_checkpointing(keep_all(&dir));
+        let curve = train(&net, &train_set, &test_set, &mut algo, &cfg);
+        let saved = on_disk(&dir);
+        let iterations: Vec<u64> = saved.iter().map(|&(i, _)| i).collect();
+        assert_eq!(iterations, (1..=curve.iterations).collect::<Vec<_>>());
+        let boundaries = saved.iter().filter(|&&(_, b)| b).count();
+        assert_eq!(
+            boundaries,
+            curve.epochs(),
+            "one epoch-boundary save per epoch"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A local source that panics on its `at`-th round.
+    struct PanicsAt<'a> {
+        inner: LocalGradients<'a>,
+        rounds: u64,
+        at: u64,
+    }
+
+    impl GradientSource for PanicsAt<'_> {
+        fn round(
+            &mut self,
+            algo: &mut dyn SyncAlgorithm,
+            batches: &[LearnerBatch],
+            grads: &mut [Vec<f32>],
+            losses: &mut [f32],
+        ) -> RoundStatus {
+            self.rounds += 1;
+            assert!(
+                self.rounds < self.at,
+                "gradient source lost at round {}",
+                self.rounds
+            );
+            self.inner.round(algo, batches, grads, losses)
+        }
+    }
+
+    #[test]
+    fn a_panicking_run_leaves_its_last_due_state_and_no_writer_behind() {
+        let (net, train_set, test_set) = setup();
+        let dir = scratch_path("panic-save");
+        let telemetry = Telemetry::disabled();
+        let mut algo = Sma::new(net.init_params(&mut Rng::new(1)), 2, SmaConfig::default());
+        let cfg = TrainerConfig::new(8, 2)
+            .with_checkpointing(keep_all(&dir))
+            .with_telemetry(telemetry.clone());
+        let holders = Arc::strong_count(&telemetry.metrics);
+        let mut source = PanicsAt {
+            inner: LocalGradients::new(&net, algo.k(), &cfg),
+            rounds: 0,
+            at: 30,
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            train_with_source(&net, &train_set, &test_set, &mut algo, &cfg, &mut source)
+        }));
+        assert!(run.is_err(), "the source panicked");
+        // Round 30 never finished, so iteration 29 was the last save due.
+        let iterations: Vec<u64> = on_disk(&dir).iter().map(|&(i, _)| i).collect();
+        assert_eq!(iterations, (1..=29).collect::<Vec<_>>());
+        // The writer thread held a store, and so the metrics registry:
+        // it is gone by the time the call unwound.
+        assert_eq!(Arc::strong_count(&telemetry.metrics), holders);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_state_hook_due_with_a_save_sees_the_saved_state() {
+        use std::sync::Mutex;
+        let (net, train_set, test_set) = setup();
+        let dir = scratch_path("hook-and-save");
+        let last: Arc<Mutex<Option<TrainingState>>> = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&last);
+        let hook = StateHook::new(10, move |st| *slot.lock().unwrap() = Some(st));
+        let mut algo = Sma::new(net.init_params(&mut Rng::new(1)), 2, SmaConfig::default());
+        let cfg = TrainerConfig::new(8, 2)
+            .with_checkpointing(CheckpointConfig::new(&dir).every(10))
+            .with_state_hook(hook)
+            .with_crash_after(30);
+        let curve = train(&net, &train_set, &test_set, &mut algo, &cfg);
+        assert_eq!(curve.iterations, 30);
+        let hooked = last.lock().unwrap().take().expect("the hook fired");
+        assert_eq!(hooked.iterations, 30);
+        let loaded = cfg
+            .checkpoint
+            .as_ref()
+            .expect("set")
+            .store()
+            .expect("store");
+        let loaded = loaded.load_latest().expect("load").expect("present");
+        assert_eq!(loaded.state, hooked);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
