@@ -3,9 +3,9 @@
 #
 #   ./ci.sh
 #
-# Runs entirely offline — the root workspace has no registry
-# dependencies (crates/bench, which needs criterion, is a standalone
-# workspace and is not built here).
+# Runs entirely offline — the workspace has no registry dependencies.
+# The paper ledger (crates/bench) is a workspace member, so the clippy
+# step below type-checks every figure harness too.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -50,7 +50,13 @@ fn overlap_ablation() {
         }
     }
     table(
-        &["model", "config", "overlapped img/s", "barrier img/s", "overlap gain"],
+        &[
+            "model",
+            "config",
+            "overlapped img/s",
+            "barrier img/s",
+            "overlap gain",
+        ],
         &rows,
     );
 }
@@ -59,11 +65,14 @@ fn interconnect_ablation() {
     section("Ablation 2: all-reduce over PCIe tree vs NVLink pair bridges");
     let lat = SimDuration::from_micros(20);
     let mut rows = Vec::new();
-    for profile in [ModelProfile::resnet32(), ModelProfile::vgg16(), ModelProfile::resnet50()] {
+    for profile in [
+        ModelProfile::resnet32(),
+        ModelProfile::vgg16(),
+        ModelProfile::resnet50(),
+    ] {
         for gpus in [2usize, 8] {
             let pcie = Topology::binary_tree(gpus, PCIE3_X16);
-            let nvlink =
-                Topology::binary_tree(gpus, PCIE3_X16).with_nvlink_pairs(NVLINK_PASCAL);
+            let nvlink = Topology::binary_tree(gpus, PCIE3_X16).with_nvlink_pairs(NVLINK_PASCAL);
             let d_pcie = ring_all_reduce_duration(
                 profile.model_bytes(),
                 gpus,
@@ -81,15 +90,18 @@ fn interconnect_ablation() {
                 format!("g={gpus}"),
                 d_pcie.to_string(),
                 d_nv.to_string(),
-                format!(
-                    "{:.2}x",
-                    d_pcie.as_nanos() as f64 / d_nv.as_nanos() as f64
-                ),
+                format!("{:.2}x", d_pcie.as_nanos() as f64 / d_nv.as_nanos() as f64),
             ]);
         }
     }
     table(
-        &["model", "gpus", "PCIe all-reduce", "NVLink all-reduce", "speed-up"],
+        &[
+            "model",
+            "gpus",
+            "PCIe all-reduce",
+            "NVLink all-reduce",
+            "speed-up",
+        ],
         &rows,
     );
     println!();

@@ -58,7 +58,9 @@ fn main() {
             checkpoint: None,
             crash_after: None,
             publish: None,
+            state_hook: None,
             telemetry: None,
+            partition: None,
         };
         let t0 = std::time::Instant::now();
         let mut algo = SSgd::new(init.clone(), 1, SgdConfig::paper_default());
@@ -76,7 +78,12 @@ fn main() {
         ]);
     }
     table(
-        &["aggregate batch", "synthetic batch", "epochs to 80%", "best acc"],
+        &[
+            "aggregate batch",
+            "synthetic batch",
+            "epochs to 80%",
+            "best acc",
+        ],
         &rows,
     );
     println!();

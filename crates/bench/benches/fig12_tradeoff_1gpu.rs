@@ -62,7 +62,13 @@ pub fn run_tradeoff(gpus: usize, figure: &str) {
         format!("{:.3}", tf.final_accuracy),
     ]);
     table(
-        &["system", "images/s", "ETA(80%) epochs", "TTA(80%)", "final acc"],
+        &[
+            "system",
+            "images/s",
+            "ETA(80%) epochs",
+            "TTA(80%)",
+            "final acc",
+        ],
         &rows,
     );
     println!();

@@ -52,7 +52,11 @@ fn main() {
                 m.to_string(),
                 format!("{:+.0}%", (row.throughput / t1v - 1.0) * 100.0),
                 fmt_tta(row.tta_secs),
-                if m == chosen { "<- tuner".to_string() } else { String::new() },
+                if m == chosen {
+                    "<- tuner".to_string()
+                } else {
+                    String::new()
+                },
             ]);
         }
         table(&["m", "throughput vs m=1", "TTA", "auto-tuner"], &rows);

@@ -34,7 +34,9 @@ fn main() {
         }
         rows.push(row);
     }
-    let headers: Vec<&str> = std::iter::once("").chain(taus.iter().map(|(_, l)| *l)).collect();
+    let headers: Vec<&str> = std::iter::once("")
+        .chain(taus.iter().map(|(_, l)| *l))
+        .collect();
     table(&headers, &rows);
     println!();
     println!("  paper: no-sync headroom is only 20% (m=1) to 27% (m=4): the");

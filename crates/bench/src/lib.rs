@@ -108,7 +108,9 @@ pub fn stat_run(
         .with_target(target)
         .with_seed(seed);
     let session = Session::new(config);
-    let curve = session.train_statistics(m).expect("no checkpointing in benches");
+    let curve = session
+        .train_statistics(m)
+        .expect("no checkpointing in benches");
     eprintln!(
         "    [stat {} {:?} g={gpus} m={m} b={batch_full}: {} epochs in {:.1}s]",
         benchmark.name,
@@ -162,7 +164,9 @@ pub fn full_run(
     if let Some(m) = m {
         config = config.with_learners_per_gpu(m);
     }
-    let report = Session::new(config).run().expect("no checkpointing in benches");
+    let report = Session::new(config)
+        .run()
+        .expect("no checkpointing in benches");
     eprintln!(
         "    [run {} {:?} g={gpus} m={} b={batch_full}: {} epochs in {:.1}s wall]",
         benchmark.name,

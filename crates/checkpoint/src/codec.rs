@@ -19,8 +19,8 @@ fn fnv_step(hash: u64, word: u64) -> u64 {
 
 /// FNV-1a, 64-bit, byte by byte: small, dependency-free, and plenty to
 /// detect the truncations and bit flips checkpointing cares about (this
-/// is integrity checking, not cryptography). Shards, quantized snapshots
-/// and version-2 checkpoints are sealed with it; wire frames and
+/// is integrity checking, not cryptography). Shards and
+/// version-2 checkpoints are sealed with it; wire frames and
 /// version-3 checkpoints use the word-wise [`fnv1a64_words`] instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes

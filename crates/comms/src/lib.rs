@@ -61,7 +61,7 @@ pub use coordinator::{
 pub use fault::{FaultAction, FaultInjector, NetFaultPlan};
 pub use proto::Msg;
 pub use standby::{run_standby, StandbyConfig, StandbyEvent, StandbyOutcome};
-pub use transport::{connect_retry, connect_retry_jittered, Conn, MsgSender, RetryPolicy};
+pub use transport::{connect_retry, Conn, MsgSender, RetryPolicy};
 pub use wire::WireError;
 pub use worker::{
     run_worker, run_worker_resilient, run_worker_resilient_with_data, run_worker_with_data,

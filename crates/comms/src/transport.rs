@@ -255,34 +255,6 @@ pub fn connect_retry(
     }
 }
 
-/// [`connect_retry`] with full-jitter sleeps drawn from the SplitMix64
-/// stream behind `state` — the reconnect path workers use after a
-/// failover, where synchronized backoff would stampede the new primary.
-///
-/// # Errors
-/// The final connect error once `policy.max_retries` is exhausted.
-pub fn connect_retry_jittered(
-    addr: &str,
-    policy: &RetryPolicy,
-    state: &mut u64,
-    telemetry: &Telemetry,
-) -> Result<TcpStream, WireError> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                if attempt > policy.max_retries {
-                    return Err(WireError::Io(e));
-                }
-                telemetry.metrics.counter("net.retries").inc();
-                std::thread::sleep(policy.jittered_backoff_for(attempt, state));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

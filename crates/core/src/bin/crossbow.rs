@@ -312,7 +312,6 @@ fn data_pack(flags: &Flags<'_>) -> Result<(), String> {
     let cfg = crossbow::shard::PackConfig {
         samples_per_shard: flags.parse_num("samples-per-shard", 512usize)?,
         page_samples: flags.parse_num("page-samples", 64usize)?,
-        ..crossbow::shard::PackConfig::default()
     };
     let set = crossbow::data::synth::gaussian_mixture(classes, dim, samples, noise, seed);
     let started = std::time::Instant::now();

@@ -87,8 +87,8 @@ impl BufferPool {
 ///
 /// * the per-layer element counts from [`Network::plan`] (what one training
 ///   step actually checks out of a learner's arena), and
-/// * the ref-count walk over the operator graph (the offline and shared
-///   stats views),
+/// * the ref-count walk over the operator graph (the offline stats
+///   view),
 ///
 /// and can **build** the pre-warmed per-learner [`Workspace`]/[`Scratch`]
 /// the CPU execution engine hands to each learner lane, so the very first
@@ -98,22 +98,17 @@ pub struct ExecMemoryPlan {
     net: NetPlan,
     learners: usize,
     offline: MemoryPlan,
-    shared: MemoryPlan,
 }
 
 impl ExecMemoryPlan {
     /// Plans `learners` co-located learners of `net` at the given batch
-    /// size. The shared-pool view assumes the task scheduler's natural
-    /// half-graph stagger between learners.
+    /// size.
     pub fn new(net: &Network, batch: usize, learners: usize) -> Self {
         assert!(learners > 0, "need at least one learner");
-        let graph = OpGraph::from_network(net, batch);
-        let stagger = graph.ops.len() / 2;
         ExecMemoryPlan {
             net: net.plan(batch),
             learners,
-            offline: offline_plan(&graph),
-            shared: shared_plan(&graph, learners, stagger),
+            offline: offline_plan(&OpGraph::from_network(net, batch)),
         }
     }
 
@@ -135,11 +130,6 @@ impl ExecMemoryPlan {
     /// Stats view of the single-learner ref-count walk.
     pub fn offline_stats(&self) -> &MemoryPlan {
         &self.offline
-    }
-
-    /// Stats view of the shared pool across all co-located learners.
-    pub fn shared_stats(&self) -> &MemoryPlan {
-        &self.shared
     }
 
     /// Builds one pre-warmed workspace for a learner lane.

@@ -13,14 +13,12 @@
 //!
 //! * [`batch`] — epoch-aware shuffled batch sampling (§4.1);
 //! * [`source`] — the [`SampleSource`] trait every trainer gathers
-//!   batches through, in RAM or from disk;
-//! * [`chan`] — the bounded channel the shard packer streams through.
+//!   batches through, in RAM or from disk.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
-pub mod chan;
 pub mod dataset;
 pub mod source;
 pub mod synth;

@@ -229,11 +229,6 @@ impl FleetClient {
         self.submit(model, input, class, deadline)?
             .wait_deadline(wait)
     }
-
-    /// The registered model names, in registration order.
-    pub fn model_names(&self) -> Vec<String> {
-        self.inner.models.iter().map(|m| m.name.clone()).collect()
-    }
 }
 
 /// Registers models before the pools start.

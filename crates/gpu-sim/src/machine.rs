@@ -140,11 +140,6 @@ impl Machine {
         self.fault_stats
     }
 
-    /// Number of GPUs.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Id of the `i`-th GPU.
     ///
     /// # Panics
@@ -161,11 +156,6 @@ impl Machine {
         StreamId((self.streams.len() - 1) as u32)
     }
 
-    /// The device a stream belongs to.
-    pub fn stream_device(&self, stream: StreamId) -> DeviceId {
-        self.streams[stream.index()].device
-    }
-
     /// Creates a one-shot event.
     pub fn create_event(&mut self) -> EventId {
         self.events.push(EventState::default());
@@ -180,12 +170,6 @@ impl Machine {
     /// The execution trace (empty when recording is disabled).
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Clears the trace without affecting machine state; useful to discard
-    /// warm-up iterations before measuring.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
     }
 
     /// SM utilisation of a device over the elapsed simulated time.

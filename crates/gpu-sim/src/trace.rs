@@ -106,11 +106,6 @@ impl Trace {
         SimDuration::from_nanos(ns)
     }
 
-    /// Clears all records, keeping the enabled flag.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
     /// Converts the trace into telemetry spans so simulated timelines go
     /// through the same analyzer/exporter as real ones.
     ///
@@ -278,7 +273,5 @@ mod tests {
         t.push(rec("b", 20, 25));
         assert_eq!(t.device_busy(DeviceId(0)).as_nanos(), 15);
         assert_eq!(t.device_busy(DeviceId(1)).as_nanos(), 0);
-        t.clear();
-        assert!(t.records().is_empty());
     }
 }

@@ -44,12 +44,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Appends an already boxed layer.
-    pub fn add_boxed(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Validates the layer chain and produces the network.
     ///
     /// # Panics

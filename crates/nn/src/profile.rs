@@ -129,11 +129,6 @@ impl ModelProfile {
         (self.model_mb * 1e6) as u64
     }
 
-    /// Parameter count (f32 weights).
-    pub fn param_count(&self) -> usize {
-        (self.model_bytes() / 4) as usize
-    }
-
     /// SM demand of a learning task with batch `b`.
     pub fn sm_demand(&self, batch: usize) -> u32 {
         (batch as f64 * self.sm_per_sample).ceil().max(1.0) as u32
@@ -142,12 +137,6 @@ impl ModelProfile {
     /// Training FLOPs of a learning task with batch `b`.
     pub fn task_flops(&self, batch: usize) -> u64 {
         self.flops_per_sample * batch as u64
-    }
-
-    /// Iterations per epoch at aggregate batch size `b` (ceiling).
-    pub fn iterations_per_epoch(&self, aggregate_batch: usize) -> usize {
-        assert!(aggregate_batch > 0, "zero batch");
-        self.train_samples.div_ceil(aggregate_batch)
     }
 }
 
@@ -187,8 +176,6 @@ mod tests {
     fn derived_quantities() {
         let p = ModelProfile::resnet32();
         assert_eq!(p.task_flops(64), 64 * 414_000_000);
-        assert_eq!(p.iterations_per_epoch(64), 782); // ceil(50000/64)
-        assert_eq!(p.param_count(), (1.79e6 / 4.0) as usize);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crossbow_tensor::quant::{bf16_decode, bf16_encode, PackedQuantLinear, QuantL
 use crossbow_tensor::{Precision, Shape, Tensor};
 
 /// One dense layer's quantized weights: the row-major storage form
-/// (what the snapshot codec writes) plus the packed runtime form.
+/// plus the packed runtime form.
 #[derive(Clone, Debug)]
 pub struct QuantDense {
     /// Storage form: per-channel scales + row-major `i8` weights.
@@ -75,32 +75,11 @@ impl QuantizedModel {
     pub fn dense_layers(&self) -> &[Option<QuantDense>] {
         &self.dense
     }
-
-    /// Approximate serialized payload bytes at this precision (what the
-    /// quantized snapshot stores for the weights; headers excluded).
-    pub fn payload_bytes(&self) -> usize {
-        match self.precision {
-            Precision::F32 => self.params.len() * 4,
-            Precision::Bf16 => self.params.len() * 2,
-            Precision::Int8 => {
-                let quantized: usize = self
-                    .dense
-                    .iter()
-                    .flatten()
-                    .map(|qd| qd.lin.q.len() + qd.lin.scales.len() * 4)
-                    .sum();
-                let dense_f32: usize = self.dense.iter().flatten().map(|qd| qd.lin.q.len()).sum();
-                quantized + (self.params.len() - dense_f32) * 4
-            }
-        }
-    }
 }
 
 impl Network {
     /// Builds a [`QuantizedModel`] from trained parameters at the given
-    /// precision. This is the only constructor used at export time; the
-    /// snapshot loader reassembles via [`Network::requantized`] so the
-    /// served bytes survive the disk round trip unchanged.
+    /// precision; int8 models are assembled by [`Network::requantized`].
     ///
     /// # Panics
     /// Panics if `params` does not match the network.
@@ -142,13 +121,12 @@ impl Network {
     /// Reassembles an int8 [`QuantizedModel`] from stored parts: the
     /// non-dense `f32` parameters (dense weight regions may hold
     /// anything — they are overwritten with dequantized values) and the
-    /// per-layer quantized weights as decoded from a snapshot.
+    /// per-layer quantized weights.
     ///
-    /// The loader must use this rather than re-quantizing: `quantize ∘
-    /// dequantize` re-derives each channel scale from already-rounded
-    /// weights and is *not* the identity, so round-tripping through
-    /// [`Network::quantize`] would serve different bytes than the
-    /// exporter measured.
+    /// Stored quantized weights must come back through this rather than
+    /// through re-quantizing: `quantize ∘ dequantize` re-derives each
+    /// channel scale from already-rounded weights and is *not* the
+    /// identity, so it would serve different bytes than the original.
     ///
     /// # Panics
     /// Panics if the parts do not match the network's layer stack.
@@ -305,7 +283,6 @@ mod tests {
         let base = net.forward_eval(&params, &batch, &mut scratch);
         let quant = net.forward_eval_quant(&model, &batch, &mut scratch);
         assert_eq!(base.data(), quant.data());
-        assert_eq!(model.payload_bytes(), params.len() * 4);
     }
 
     #[test]
@@ -323,7 +300,6 @@ mod tests {
         let via_model = net.forward_eval_quant(&model, &batch, &mut scratch);
         let via_params = net.forward_eval(model.params(), &batch, &mut scratch);
         assert_eq!(via_model.data(), via_params.data());
-        assert_eq!(model.payload_bytes(), params.len() * 2);
     }
 
     #[test]
@@ -340,7 +316,6 @@ mod tests {
             &params[r.start + 24..r.end],
             &model.params()[r.start + 24..r.end]
         );
-        assert!(model.payload_bytes() < params.len() * 4);
     }
 
     #[test]

@@ -14,21 +14,19 @@
 //!   flush on `max_batch` or `max_delay`, bounded by `queue_depth`;
 //! * [`snapshot`] — model exchange over the PR-2 checkpoint format
 //!   (export a snapshot durably, serve straight out of a training
-//!   checkpoint directory);
-//! * [`quant_snapshot`] — the `CBQS` quantized snapshot format: a
-//!   versioned, checksummed, atomically-written inference artifact at
-//!   f32, bf16 or per-channel int8 precision, reassembled on load so the
-//!   served bytes match the exporter's exactly.
+//!   checkpoint directory).
+//!
+//! Quantized snapshots live in memory only
+//! ([`SnapshotRegistry::publish_quantized`]); [`export_snapshot`] writes
+//! their effective `f32` parameters.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod batcher;
-pub mod quant_snapshot;
 pub mod registry;
 pub mod snapshot;
 
 pub use batcher::BatchConfig;
-pub use quant_snapshot::{export_quant_snapshot, load_quant_into, QUANT_SNAPSHOT_FILE};
 pub use registry::{ModelSnapshot, ModelSpec, PublishError, SnapshotRegistry};
 pub use snapshot::{export_snapshot, load_into, ImportError, SNAPSHOT_ALGORITHM};

@@ -60,6 +60,11 @@ impl From<CheckpointError> for ImportError {
 /// Durably exports a snapshot's weights into `dir` using the checkpoint
 /// format (atomic write, checksummed, epoch-boundary retention class).
 ///
+/// # Note
+/// A quantized snapshot is persisted as its effective `f32` parameters
+/// (dense weights dequantized). Its precision and accuracy delta are not
+/// stored: [`load_into`] publishes it back as an f32 snapshot.
+///
 /// # Errors
 /// [`CheckpointError::Io`] when the directory or file cannot be written.
 pub fn export_snapshot(dir: &Path, snapshot: &ModelSnapshot) -> Result<(), CheckpointError> {

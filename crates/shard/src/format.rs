@@ -36,12 +36,12 @@
 
 use crate::error::{corrupt, ShardError};
 use crossbow_checkpoint::codec::fnv1a64;
-use crossbow_data::chan::Receiver;
 use crossbow_data::SampleSource;
 use crossbow_tensor::Shape;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver};
 
 /// Magic bytes opening every shard file.
 pub const MAGIC: [u8; 8] = *b"CBWSHRD\x01";
@@ -370,16 +370,17 @@ pub(crate) fn decode_header(bytes: &[u8]) -> Result<Header, ShardError> {
     })
 }
 
-/// Ingestion knobs for [`pack_stream`] / [`pack_source`].
+/// Bounded-channel capacity, in samples, between the producer and the
+/// writer of [`pack_source`] — the ingestion back-pressure window.
+pub(crate) const CHANNEL_CAPACITY: usize = 256;
+
+/// Ingestion knobs for [`pack_source`].
 #[derive(Clone, Copy, Debug)]
 pub struct PackConfig {
     /// Samples per shard file (the rotation threshold).
     pub samples_per_shard: usize,
     /// Samples per checksummed record page.
     pub page_samples: usize,
-    /// Bounded-channel capacity, in samples, between the producer and
-    /// the writer — the ingestion back-pressure window.
-    pub channel_capacity: usize,
 }
 
 impl Default for PackConfig {
@@ -387,7 +388,6 @@ impl Default for PackConfig {
         PackConfig {
             samples_per_shard: 4096,
             page_samples: 64,
-            channel_capacity: 256,
         }
     }
 }
@@ -404,25 +404,24 @@ pub struct PackReport {
 }
 
 /// One in-flight ingestion record.
-#[derive(Clone, Debug)]
-pub struct Sample {
-    /// Image data (`sample_len` elements).
-    pub image: Vec<f32>,
-    /// Class label.
-    pub label: usize,
+struct Sample {
+    image: Vec<f32>,
+    label: usize,
 }
 
 /// Drains `rx` into sealed shards under `dir`, rotating every
 /// `cfg.samples_per_shard` samples. The bounded channel the caller
 /// created provides the back-pressure: a slow disk blocks the producer.
+/// Returning drops `rx`, which fails the producer's next (or blocked)
+/// send.
 ///
 /// # Errors
 /// [`ShardError`] from any writer step; on error, partly-written `.tmp`
 /// files are left for the reader to ignore.
-pub fn pack_stream(
+fn pack_stream(
     dir: &Path,
     meta: &DatasetMeta,
-    rx: &Receiver<Sample>,
+    rx: Receiver<Sample>,
     cfg: PackConfig,
 ) -> Result<PackReport, ShardError> {
     if cfg.samples_per_shard == 0 {
@@ -434,7 +433,7 @@ pub fn pack_stream(
         bytes: 0,
     };
     let mut writer: Option<ShardWriter> = None;
-    while let Some(sample) = rx.recv() {
+    while let Ok(sample) = rx.recv() {
         let w = match writer.as_mut() {
             Some(w) => w,
             None => {
@@ -465,9 +464,9 @@ pub fn pack_stream(
 
 /// Packs every sample of `source` (in index order, so a shard-set gather
 /// is bit-identical to an in-memory gather) into shards under `dir`,
-/// streaming through a bounded [`crossbow_data::chan`] channel: a
-/// producer thread gathers samples while this thread writes, and the
-/// channel capacity bounds the samples in flight.
+/// streaming through a bounded channel: a producer thread gathers samples
+/// while this thread writes, and the channel's fixed capacity bounds the
+/// samples in flight.
 ///
 /// # Errors
 /// [`ShardError`] from the writer, or a producer-side gather failure
@@ -478,33 +477,22 @@ pub fn pack_source(
     cfg: PackConfig,
 ) -> Result<PackReport, ShardError> {
     let meta = DatasetMeta::of(source);
-    let (tx, rx) = crossbow_data::chan::bounded::<Sample>(cfg.channel_capacity.max(1));
+    let (tx, rx) = sync_channel::<Sample>(CHANNEL_CAPACITY);
     let sample_len = meta.sample_len();
     std::thread::scope(|scope| {
         let producer = scope.spawn(move || -> Result<(), String> {
             for i in 0..source.len() {
                 let (image, labels) = source.gather(&[i]).map_err(|e| e.to_string())?;
-                let mut pending = Sample {
+                let sample = Sample {
                     image: image.into_vec(),
                     label: labels[0],
                 };
-                debug_assert_eq!(pending.image.len(), sample_len);
-                loop {
-                    match tx.send_timeout(pending, std::time::Duration::from_millis(50)) {
-                        Ok(()) => break,
-                        Err(crossbow_data::chan::SendTimeoutError::Timeout(s)) => pending = s,
-                        Err(crossbow_data::chan::SendTimeoutError::Disconnected(_)) => {
-                            return Err("writer hung up".into());
-                        }
-                    }
-                }
+                debug_assert_eq!(sample.image.len(), sample_len);
+                tx.send(sample).map_err(|_| "writer hung up")?;
             }
             Ok(())
         });
-        let report = pack_stream(dir, &meta, &rx, cfg);
-        // Drain so a blocked producer can observe the hang-up on error.
-        while rx.try_recv().is_some() {}
-        drop(rx);
+        let report = pack_stream(dir, &meta, rx, cfg);
         let produced = producer.join();
         // The writer-side error is the root cause; the producer's
         // "writer hung up" is just its echo.

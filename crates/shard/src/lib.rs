@@ -14,10 +14,9 @@
 //!   record pages, a per-shard sample index, and the atomic
 //!   tmp → fsync → rename seal discipline shared with
 //!   `crossbow-checkpoint`.
-//! - **Ingestion** ([`pack_source`] / [`pack_stream`]): a producer
-//!   streams samples through a bounded [`crossbow_data::chan`] channel
-//!   into a rotating [`ShardWriter`]; channel capacity is the
-//!   back-pressure window.
+//! - **Ingestion** ([`pack_source`]): a producer thread streams samples
+//!   through a bounded `std` channel into a rotating [`ShardWriter`];
+//!   the channel's capacity is the back-pressure window.
 //! - **Reading** ([`ShardReader`] / [`ShardedDataset`]): shards are
 //!   memory-mapped (raw syscall on Linux/x86-64, positioned-read
 //!   fallback elsewhere) and *fully validated at open* — corruption
@@ -39,8 +38,8 @@ mod reader;
 
 pub use error::ShardError;
 pub use format::{
-    pack_source, pack_stream, shard_file_name, DatasetMeta, PackConfig, PackReport, Sample,
-    ShardWriter, FILE_EXT, FLAG_SEALED, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_DIMS,
+    pack_source, shard_file_name, DatasetMeta, PackConfig, PackReport, ShardWriter, FILE_EXT,
+    FLAG_SEALED, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_DIMS,
 };
 pub use reader::{ShardReader, ShardedDataset};
 
@@ -63,7 +62,6 @@ mod tests {
         PackConfig {
             samples_per_shard: 40,
             page_samples: 16,
-            channel_capacity: 8,
         }
     }
 
@@ -107,6 +105,36 @@ mod tests {
                 set.label(i).expect("label")
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_shard_write_returns_promptly_with_the_producer_joined() {
+        let dir = scratch_dir("writefail");
+        // More samples than the writer takes before it fails plus the
+        // channel's capacity: the producer ends up blocked on a full
+        // channel unless the failure releases it.
+        let set = gaussian_mixture(4, 6, 4 * format::CHANNEL_CAPACITY, 0.35, 7);
+        // A directory where the second shard puts its temp file: creating
+        // that file fails even for root.
+        fs::create_dir_all(dir.join(format!("{}.tmp", shard_file_name(1)))).expect("mkdir");
+        // `pack_source` joins its producer before returning, so returning
+        // at all proves the blocked send was released.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let pack_dir = dir.clone();
+        let pack = std::thread::spawn(move || {
+            let _ = done_tx.send(pack_source(&pack_dir, &set, small_pack()));
+        });
+        let packed = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("pack_source must return while its producer is blocked");
+        pack.join().expect("pack thread");
+        let err = packed.expect_err("shard 1 cannot be created");
+        assert!(matches!(err, ShardError::Io(_)), "got {err}");
+        // Only the shard sealed before the failure is on disk.
+        let on_disk = ShardedDataset::open(&dir).expect("open");
+        assert_eq!(on_disk.shard_count(), 1);
+        assert_eq!(SampleSource::len(&on_disk), 40);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -5,10 +5,8 @@ use crate::format::{decode_header, DatasetMeta, PageEntry, FILE_EXT, FLAG_SEALED
 use crate::mmap::Mapping;
 use crossbow_checkpoint::codec::fnv1a64;
 use crossbow_data::{DataError, SampleSource};
-use crossbow_telemetry::MetricsRegistry;
 use crossbow_tensor::{Shape, Tensor};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// One validated, memory-mapped shard file.
 pub struct ShardReader {
@@ -190,8 +188,8 @@ impl ShardReader {
     }
 
     /// Copies local sample `local`'s image into `dst` (bit-exact: the
-    /// stored `f32` bit patterns). Returns the bytes read.
-    pub(crate) fn copy_image(&self, local: usize, dst: &mut Vec<f32>) -> Result<u64, DataError> {
+    /// stored `f32` bit patterns).
+    pub(crate) fn copy_image(&self, local: usize, dst: &mut Vec<f32>) -> Result<(), DataError> {
         let (p, li) = self.locate(local);
         let page = &self.pages[p];
         let sample_len = self.meta.sample_len();
@@ -206,7 +204,7 @@ impl ShardReader {
                 .chunks_exact(4)
                 .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4")))),
         );
-        Ok(sample_len as u64 * 4)
+        Ok(())
     }
 }
 
@@ -227,7 +225,6 @@ pub struct ShardedDataset {
     len: usize,
     meta: DatasetMeta,
     skipped: Vec<(PathBuf, ShardError)>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl std::fmt::Debug for ShardedDataset {
@@ -249,23 +246,6 @@ impl ShardedDataset {
     /// last validation error is embedded) or when valid shards disagree
     /// on sample shape or class count.
     pub fn open(dir: &Path) -> Result<Self, ShardError> {
-        Self::open_inner(dir, None)
-    }
-
-    /// As [`ShardedDataset::open`], publishing `data.shard_open` (one
-    /// per validated shard) and `data.read_bytes` (bytes gathered) on
-    /// `metrics`.
-    ///
-    /// # Errors
-    /// As [`ShardedDataset::open`].
-    pub fn open_with_metrics(
-        dir: &Path,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Result<Self, ShardError> {
-        Self::open_inner(dir, Some(metrics))
-    }
-
-    fn open_inner(dir: &Path, metrics: Option<Arc<MetricsRegistry>>) -> Result<Self, ShardError> {
         let mut paths = Vec::new();
         for item in std::fs::read_dir(dir)? {
             let item = item?;
@@ -286,12 +266,7 @@ impl ShardedDataset {
         let mut skipped = Vec::new();
         for path in paths {
             match ShardReader::open(&path) {
-                Ok(shard) => {
-                    if let Some(m) = &metrics {
-                        m.counter("data.shard_open").inc();
-                    }
-                    shards.push(shard);
-                }
+                Ok(shard) => shards.push(shard),
                 Err(e) => skipped.push((path, e)),
             }
         }
@@ -328,7 +303,6 @@ impl ShardedDataset {
             len,
             meta,
             skipped,
-            metrics,
         })
     }
 
@@ -368,12 +342,6 @@ impl ShardedDataset {
         };
         Ok((s, i - self.starts[s]))
     }
-
-    fn observe_read(&self, bytes: u64) {
-        if let Some(m) = &self.metrics {
-            m.counter("data.read_bytes").add(bytes);
-        }
-    }
 }
 
 impl SampleSource for ShardedDataset {
@@ -391,9 +359,7 @@ impl SampleSource for ShardedDataset {
 
     fn label(&self, i: usize) -> Result<usize, DataError> {
         let (s, local) = self.locate(i)?;
-        let label = self.shards[s].label(local)?;
-        self.observe_read(4);
-        Ok(label)
+        self.shards[s].label(local)
     }
 
     fn gather(&self, indices: &[usize]) -> Result<(Tensor, Vec<usize>), DataError> {
@@ -403,14 +369,12 @@ impl SampleSource for ShardedDataset {
         let sample_len = self.meta.sample_len();
         let mut data = Vec::with_capacity(indices.len() * sample_len);
         let mut labels = Vec::with_capacity(indices.len());
-        let mut bytes = 0u64;
         for &i in indices {
             let (s, local) = self.locate(i)?;
             let shard = &self.shards[s];
-            bytes += shard.copy_image(local, &mut data)? + 4;
+            shard.copy_image(local, &mut data)?;
             labels.push(shard.label(local)?);
         }
-        self.observe_read(bytes);
         let mut dims = vec![indices.len()];
         dims.extend_from_slice(self.meta.sample_shape.dims());
         Ok((Tensor::from_vec(Shape::new(&dims), data), labels))

@@ -14,8 +14,6 @@
 //!   model that advances with Polyak momentum, plus the restart rule on
 //!   learning-rate changes; [`sma::easgd`] configures the same machinery
 //!   as the EA-SGD comparator (no centre momentum, optional τ);
-//! * [`asgd`] — asynchronous SGD with configurable staleness, the §2.3
-//!   strawman;
 //! * [`hierarchical`] — the two-level synchronisation of §3.3: learners on
 //!   one GPU synchronise against a local reference model, and only the
 //!   reference models participate in global SMA;
@@ -27,7 +25,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod algorithm;
-pub mod asgd;
 pub mod hierarchical;
 pub mod optimizer;
 pub mod schedule;

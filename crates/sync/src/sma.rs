@@ -92,12 +92,6 @@ impl Sma {
     pub fn tau(&self) -> usize {
         self.config.tau
     }
-
-    /// Mutable access to the central model (used by the engine to seed a
-    /// restart from a checkpoint).
-    pub fn center_mut(&mut self) -> &mut [f32] {
-        &mut self.center
-    }
 }
 
 /// Elastic averaging SGD \[69\]: SMA without centre momentum, optionally

@@ -127,7 +127,7 @@ pub struct TrainerConfig {
     /// Hard stop after this many epochs.
     pub max_epochs: usize,
     /// Stop early once the median test accuracy of the last 5 epochs
-    /// reaches this value — the paper's `TTA(x)` criterion (§5.1).
+    /// reaches this value — the paper's `TTA(x)` rule (§5.1).
     pub target_accuracy: Option<f64>,
     /// Learning-rate schedule; changes trigger [`SyncAlgorithm::on_lr_change`].
     pub schedule: LrSchedule,

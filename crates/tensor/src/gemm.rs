@@ -1150,21 +1150,6 @@ pub fn gemm_bt_packed(
     ws.give(a_pack);
 }
 
-/// Matrix-vector product `y = alpha * A @ x + beta * y`, `A: m x n` row-major.
-pub fn gemv(m: usize, n: usize, alpha: f32, a: &[f32], x: &[f32], beta: f32, y: &mut [f32]) {
-    assert_eq!(a.len(), m * n, "A dims mismatch");
-    assert_eq!(x.len(), n, "x dims mismatch");
-    assert_eq!(y.len(), m, "y dims mismatch");
-    for i in 0..m {
-        let row = &a[i * n..(i + 1) * n];
-        let mut acc = 0.0f32;
-        for (&av, &xv) in row.iter().zip(x) {
-            acc += av * xv;
-        }
-        y[i] = alpha * acc + beta * y[i];
-    }
-}
-
 fn check_dims(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &[f32]) {
     assert_eq!(a.len(), m * k, "A dims mismatch: {} != {m}*{k}", a.len());
     assert_eq!(b.len(), k * n, "B dims mismatch: {} != {k}*{n}", b.len());
@@ -1535,19 +1520,6 @@ mod tests {
         gemm_naive(m, k, n, 1.0, &a, &b, 0.0, &mut c1);
         gemm_bt(m, k, n, 1.0, &a, &bt, 0.0, &mut c2);
         assert_close(&c1, &c2, 1e-4);
-    }
-
-    #[test]
-    fn gemv_matches_gemm_with_single_column() {
-        let mut rng = Rng::new(4);
-        let (m, n) = (5, 8);
-        let a: Vec<f32> = (0..m * n).map(|_| rng.normal()).collect();
-        let x: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
-        let mut y1 = vec![0.0; m];
-        let mut y2 = vec![0.0; m];
-        gemm_naive(m, n, 1, 1.0, &a, &x, 0.0, &mut y1);
-        gemv(m, n, 1.0, &a, &x, 0.0, &mut y2);
-        assert_close(&y1, &y2, 1e-4);
     }
 
     #[test]

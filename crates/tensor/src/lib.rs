@@ -10,8 +10,7 @@
 //! * [`rng`] — a small, deterministic random number generator
 //!   (SplitMix64 + PCG32) so that every experiment in the workspace is
 //!   bit-reproducible given a seed;
-//! * [`stats`] — streaming statistics used by the auto-tuner and the metric
-//!   collectors.
+//! * [`stats`] — the windowed median behind the time-to-accuracy metric.
 //!
 //! The training *math* of the paper (gradients, momentum, model averaging)
 //! operates on flat `&[f32]`/`&mut [f32]` parameter vectors, so most hot

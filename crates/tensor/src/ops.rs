@@ -34,35 +34,12 @@ pub fn scaled_diff(alpha: f32, a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// `y[i] -= x[i]`.
-pub fn sub_assign(y: &mut [f32], x: &[f32]) {
-    assert_eq!(x.len(), y.len(), "sub_assign length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi -= xi;
-    }
-}
-
 /// `y[i] += x[i]`.
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(x.len(), y.len(), "add_assign length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += xi;
     }
-}
-
-/// Element-wise product `out[i] = a[i] * b[i]`.
-pub fn mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len(), "mul length mismatch");
-    assert_eq!(a.len(), out.len(), "mul output length mismatch");
-    for ((o, &ai), &bi) in out.iter_mut().zip(a).zip(b) {
-        *o = ai * bi;
-    }
-}
-
-/// Dot product.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// Squared L2 distance between two vectors.
@@ -96,14 +73,6 @@ pub fn mean_of(vectors: &[&[f32]], out: &mut [f32]) {
         }
     }
     scal(scale, out);
-}
-
-/// Clamps every element to `[-limit, limit]` (gradient clipping).
-pub fn clip(x: &mut [f32], limit: f32) {
-    debug_assert!(limit >= 0.0);
-    for xi in x.iter_mut() {
-        *xi = xi.clamp(-limit, limit);
-    }
 }
 
 /// `x[i] = 0` for all `i`, keeping the allocation.
@@ -166,13 +135,12 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let mut y = [5.0, 5.0, 5.0];
         add_assign(&mut y, &x);
-        sub_assign(&mut y, &x);
+        axpy(-1.0, &x, &mut y);
         assert_close(&y, &[5.0, 5.0, 5.0]);
     }
 
     #[test]
-    fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+    fn norm_and_dist_sq() {
         assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
         assert_eq!(dist_sq(&[1.0, 1.0], &[0.0, 3.0]), 5.0);
     }
@@ -194,13 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn clip_bounds_values() {
-        let mut x = [-5.0, 0.5, 5.0];
-        clip(&mut x, 1.0);
-        assert_close(&x, &[-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
     fn momentum_step_accumulates_direction() {
         let mut target = [0.0f32];
         let mut velocity = [0.0f32];
@@ -209,13 +170,6 @@ mod tests {
         momentum_step(&mut target, &mut velocity, &[1.0], 0.9);
         // velocity = 0.9 * 1 + 1 = 1.9; target = 1 + 1.9 = 2.9
         assert_close(&target, &[2.9]);
-    }
-
-    #[test]
-    fn mul_elementwise() {
-        let mut out = [0.0; 3];
-        mul(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &mut out);
-        assert_close(&out, &[4.0, 10.0, 18.0]);
     }
 
     #[test]

@@ -75,20 +75,6 @@ impl Precision {
             Precision::Int8 => "int8",
         }
     }
-
-    /// Stable wire tag for the snapshot codec.
-    pub fn tag(self) -> u8 {
-        match self {
-            Precision::F32 => 0,
-            Precision::Bf16 => 1,
-            Precision::Int8 => 2,
-        }
-    }
-
-    /// Inverse of [`Precision::tag`].
-    pub fn from_tag(tag: u8) -> Option<Precision> {
-        Precision::all().into_iter().find(|p| p.tag() == tag)
-    }
 }
 
 impl std::fmt::Display for Precision {
@@ -124,19 +110,6 @@ pub fn bf16_encode(x: f32) -> u16 {
 /// the `f32` encoding).
 pub fn bf16_decode(u: u16) -> f32 {
     f32::from_bits((u as u32) << 16)
-}
-
-/// Encodes a slice of weights as bfloat16.
-pub fn bf16_encode_slice(xs: &[f32]) -> Vec<u16> {
-    xs.iter().map(|&x| bf16_encode(x)).collect()
-}
-
-/// Decodes bfloat16 weights into an `f32` buffer of the same length.
-pub fn bf16_decode_into(us: &[u16], out: &mut [f32]) {
-    assert_eq!(us.len(), out.len(), "bf16 length mismatch");
-    for (o, &u) in out.iter_mut().zip(us) {
-        *o = bf16_decode(u);
-    }
 }
 
 /// An int8 weight matrix with per-output-channel scales — the *storage*
@@ -722,10 +695,8 @@ mod tests {
     fn precision_names_round_trip() {
         for p in Precision::all() {
             assert_eq!(p.name().parse::<Precision>().unwrap(), p);
-            assert_eq!(Precision::from_tag(p.tag()), Some(p));
         }
         assert!("f16".parse::<Precision>().is_err());
-        assert_eq!(Precision::from_tag(9), None);
     }
 
     #[test]

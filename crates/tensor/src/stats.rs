@@ -1,98 +1,8 @@
-//! Streaming statistics.
+//! Medians.
 //!
-//! The auto-tuner (paper Algorithm 2) decides the number of learners per GPU
-//! from the *observed training throughput*, and the metric collectors track
-//! accuracy over epochs. Both need small online statistics helpers: a
-//! Welford mean/variance accumulator, an exponentially-weighted moving
-//! average, and a windowed median (the paper's time-to-accuracy metric is
-//! defined on the *median* test accuracy of the last five epochs, §5.1).
-
-/// Welford online mean/variance accumulator.
-#[derive(Clone, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// Exponentially-weighted moving average, used to smooth the throughput
-/// signal the auto-tuner reacts to.
-#[derive(Clone, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`; larger
-    /// alpha reacts faster.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Adds a sample and returns the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any sample has been seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Clears the accumulator.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
+//! The paper's time-to-accuracy metric is defined on the *median* test
+//! accuracy of the last five epochs (§5.1); the trainers track it with a
+//! [`WindowedMedian`], and reports take [`median`]s of samples.
 
 /// Median over a sliding window of the last `window` samples.
 ///
@@ -176,45 +86,6 @@ pub fn median(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_closed_form() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &data {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.stddev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_small_counts() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.push(3.0);
-        assert_eq!(w.mean(), 3.0);
-        assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn ewma_first_sample_passes_through() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.push(10.0), 10.0);
-        assert_eq!(e.push(0.0), 5.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
-    }
 
     #[test]
     fn windowed_median_tracks_last_n() {

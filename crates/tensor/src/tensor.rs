@@ -59,13 +59,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// A tensor with entries drawn i.i.d. from `U[lo, hi)`.
-    pub fn rand_uniform<S: Into<Shape>>(shape: S, lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let shape = shape.into();
-        let data = (0..shape.len()).map(|_| rng.uniform(lo, hi)).collect();
-        Tensor { shape, data }
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -101,12 +94,6 @@ impl Tensor {
         self.data[self.shape.offset(index)]
     }
 
-    /// Mutable element at a multi-dimensional index.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
-    }
-
     /// Reinterprets the tensor with a new shape of the same element count.
     ///
     /// # Panics
@@ -121,11 +108,6 @@ impl Tensor {
         );
         self.shape = shape;
         self
-    }
-
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
     /// Copies data from another tensor of identical shape.
@@ -163,11 +145,6 @@ impl Tensor {
     /// Maximum absolute element (0 for an empty tensor).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
-
-    /// Squared L2 norm of the elements.
-    pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|&v| v * v).sum()
     }
 
     /// True if every element is finite.
@@ -211,9 +188,8 @@ mod tests {
     #[test]
     fn indexing_round_trips() {
         let mut t = Tensor::zeros([2, 3]);
-        *t.at_mut(&[1, 2]) = 7.0;
+        t.data_mut()[5] = 7.0;
         assert_eq!(t.at(&[1, 2]), 7.0);
-        assert_eq!(t.data()[5], 7.0);
     }
 
     #[test]
@@ -235,7 +211,6 @@ mod tests {
         assert_eq!(t.sum(), 2.0);
         assert!((t.mean() - 2.0 / 3.0).abs() < 1e-6);
         assert_eq!(t.max_abs(), 3.0);
-        assert_eq!(t.norm_sq(), 14.0);
     }
 
     #[test]

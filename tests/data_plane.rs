@@ -25,7 +25,6 @@ fn packed(tag: &str, source: &dyn SampleSource, samples_per_shard: usize) -> Sha
     let cfg = PackConfig {
         samples_per_shard,
         page_samples: 32,
-        ..PackConfig::default()
     };
     pack_source(&dir, source, cfg).expect("pack");
     ShardedDataset::open(&dir).expect("open shard set")
