@@ -5,7 +5,7 @@
 #
 # Runs entirely offline — the workspace has no registry dependencies.
 # The paper ledger (crates/bench) is a workspace member, so the clippy
-# step below type-checks every figure harness too.
+# step below type-checks every figure harness too; one figure also runs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -117,6 +117,13 @@ rm -rf "$DATA_DIR"
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== paper ledger figure (quick mode, wall-clock bounded) =="
+# Clippy only type-checks the figure harnesses; run one end to end so a
+# harness that builds but panics (a stale config literal, a changed
+# default) fails CI. Figure 3 drives the synchronous trainer across
+# batch sizes; quick mode shrinks it to fit the CI budget.
+CROSSBOW_BENCH_QUICK=1 timeout 300 cargo bench --offline -q -p crossbow-bench --bench fig03_stat_efficiency
 
 echo "== docs (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -50,7 +50,6 @@ fn main() {
             target_accuracy: Some(target),
             schedule: LrSchedule::Constant { lr: 0.05 },
             weight_decay: 1e-4,
-            eval_batch: 256,
             seed: 42,
             threads: 1,
             guard: None,

@@ -21,10 +21,11 @@ pub struct DataCursor {
     pub groups: u64,
 }
 
-/// A synchronisation algorithm's complete state: the fields of an
-/// `AlgoSnapshot`, flattened for serialisation. `aux` carries whatever
-/// per-algorithm extras exist beyond centre/replicas — S-SGD's optimiser
-/// velocity, hierarchical SMA's per-group reference models.
+/// A synchronisation algorithm's complete state, both in a checkpoint
+/// and in memory (the sync crate's `AlgoSnapshot` is this type). `aux`
+/// carries whatever per-algorithm extras exist beyond centre/replicas —
+/// S-SGD's optimiser velocity, hierarchical SMA's per-group reference
+/// models.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AlgoState {
     /// The consensus / central average model `z`.

@@ -11,7 +11,7 @@ use crate::coordinator::{Coordinator, DistConfig, DistReport, EventHook};
 use crate::standby::{run_standby, StandbyConfig, StandbyOutcome};
 use crate::transport::RetryPolicy;
 use crate::wire::WireError;
-use crate::worker::{run_worker_resilient, run_worker_with_data, WorkerConfig, WorkerOutcome};
+use crate::worker::{run_worker, run_worker_with_data, WorkerConfig, WorkerOutcome};
 use crossbow_checkpoint::codec::fnv1a64;
 use crossbow_data::synth::gaussian_mixture;
 use crossbow_data::{Dataset, SampleSource};
@@ -232,7 +232,7 @@ pub fn run_local_failover(opts: LocalFailoverOptions) -> LocalFailoverReport {
                     backoff_base: Duration::from_millis(25),
                     backoff_cap: Duration::from_millis(100),
                 };
-                run_worker_resilient(&net, &cfg, &Telemetry::disabled(), &|_| {})
+                run_worker(&net, &cfg, &Telemetry::disabled(), &|_| {})
             })
         })
         .collect();

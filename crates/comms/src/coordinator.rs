@@ -23,7 +23,7 @@ use crate::fault::{FaultInjector, NetFaultPlan};
 use crate::proto::{self, Msg};
 use crate::transport::{Conn, RetryPolicy};
 use crate::wire::{self, WireError};
-use crossbow_checkpoint::{AlgoState, CheckpointStore, TrainingState};
+use crossbow_checkpoint::{CheckpointStore, TrainingState};
 use crossbow_data::{PartitionPlan, SampleSource};
 use crossbow_nn::Network;
 use crossbow_sync::{
@@ -35,6 +35,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Per-member receive poll interval while collecting a round.
+const POLL: Duration = Duration::from_millis(10);
 
 /// How gradients travel between processes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,12 +70,11 @@ pub struct DistConfig {
     /// Evict a worker silent for longer than this.
     pub heartbeat_timeout: Duration,
     /// Heartbeat interval workers are told to ping at (handed out in
-    /// `Welcome`); must stay below `heartbeat_timeout`.
+    /// `Welcome` in whole milliseconds, so at least 1 ms); must stay below
+    /// `heartbeat_timeout`.
     pub heartbeat_interval: Duration,
     /// Re-issue a round's work after this long without a reply.
     pub work_resend: Duration,
-    /// Per-member receive poll interval while collecting a round.
-    pub poll: Duration,
     /// How long to wait for cluster formation, and for a replacement
     /// worker when every member is gone.
     pub join_timeout: Duration,
@@ -116,7 +118,6 @@ impl DistConfig {
             heartbeat_timeout: Duration::from_secs(3),
             heartbeat_interval: Duration::from_millis(200),
             work_resend: Duration::from_secs(1),
-            poll: Duration::from_millis(10),
             join_timeout: Duration::from_secs(30),
             hello_timeout: Duration::from_secs(5),
             lease_interval: Duration::from_millis(250),
@@ -144,8 +145,9 @@ impl DistConfig {
     }
 
     /// Checks the timing relations the protocol depends on: heartbeats
-    /// must outpace eviction, lease renewals must outpace takeover, and
-    /// every poll/resend interval must be positive.
+    /// must be at least 1 ms apart (the unit `Welcome` carries) and
+    /// outpace eviction, lease renewals must outpace takeover, and every
+    /// resend interval and timeout must be positive.
     ///
     /// # Errors
     /// A description of the first violated relation.
@@ -153,8 +155,14 @@ impl DistConfig {
         if self.workers == 0 {
             return Err("workers must be at least 1".into());
         }
-        if self.heartbeat_interval.is_zero() {
-            return Err("heartbeat interval must be positive".into());
+        if self.heartbeat_interval < Duration::from_millis(1) {
+            // `Welcome` carries whole milliseconds: a shorter interval
+            // would arrive as 0 and the worker would fall back to its own
+            // default, which may not outpace the eviction timeout.
+            return Err(format!(
+                "heartbeat interval ({:?}) must be at least 1 ms",
+                self.heartbeat_interval
+            ));
         }
         if self.heartbeat_interval >= self.heartbeat_timeout {
             return Err(format!(
@@ -173,9 +181,6 @@ impl DistConfig {
         }
         if self.work_resend.is_zero() {
             return Err("work resend interval must be positive".into());
-        }
-        if self.poll.is_zero() {
-            return Err("poll interval must be positive".into());
         }
         if self.join_timeout.is_zero() || self.hello_timeout.is_zero() {
             return Err("join and hello timeouts must be positive".into());
@@ -790,13 +795,7 @@ impl<'a> RemoteCluster<'a> {
                 seed: self.seed,
                 algorithm: algo.name().to_string(),
                 iterations: snap.iter,
-                algo: AlgoState {
-                    center: snap.center,
-                    center_prev: snap.center_prev,
-                    replicas: snap.replicas,
-                    aux: snap.aux,
-                    iter: snap.iter,
-                },
+                algo: snap,
                 ..TrainingState::default()
             },
             None => TrainingState {
@@ -933,7 +932,7 @@ impl<'a> RemoteCluster<'a> {
         while pending.iter().any(|&p| p) {
             for j in 0..k {
                 loop {
-                    match self.members[j].conn.recv_timeout(self.cfg.poll) {
+                    match self.members[j].conn.recv_timeout(POLL) {
                         Ok(Msg::Grad {
                             iter,
                             slot,
@@ -1024,7 +1023,7 @@ impl<'a> RemoteCluster<'a> {
         loop {
             for j in 0..k {
                 loop {
-                    match self.members[j].conn.recv_timeout(self.cfg.poll) {
+                    match self.members[j].conn.recv_timeout(POLL) {
                         Ok(Msg::GradSet {
                             iter,
                             losses: ls,
@@ -1148,6 +1147,7 @@ impl GradientSource for RemoteCluster<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbow_checkpoint::AlgoState;
 
     #[test]
     fn config_validation_enforces_timing_relations() {
@@ -1168,9 +1168,11 @@ mod tests {
         bad.state_every = 0;
         assert!(bad.validate().unwrap_err().contains("state_every"));
 
+        // A sub-millisecond interval would reach workers as 0 ms.
         bad = DistConfig::new(Topology::Ps, 2);
-        bad.poll = Duration::ZERO;
-        assert!(bad.validate().unwrap_err().contains("poll"));
+        bad.heartbeat_interval = Duration::from_micros(500);
+        bad.heartbeat_timeout = Duration::from_millis(100);
+        assert!(bad.validate().unwrap_err().contains("heartbeat interval"));
     }
 
     #[test]

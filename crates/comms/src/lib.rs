@@ -25,8 +25,7 @@
 //!   renormalizes over survivors), and mid-run rejoin from the latest
 //!   checkpoint.
 //! - [`worker`]: the data plane — a stateless gradient server, with a
-//!   failover-surviving resilient loop that re-`Hello`s to fallback
-//!   coordinator addresses.
+//!   failover loop that re-`Hello`s to fallback coordinator addresses.
 //! - [`standby`]: the warm standby — registers for state replication,
 //!   watches lease renewals, and takes over as primary at the next term
 //!   when the leases stop.
@@ -63,7 +62,4 @@ pub use proto::Msg;
 pub use standby::{run_standby, StandbyConfig, StandbyEvent, StandbyOutcome};
 pub use transport::{connect_retry, Conn, MsgSender, RetryPolicy};
 pub use wire::WireError;
-pub use worker::{
-    run_worker, run_worker_resilient, run_worker_resilient_with_data, run_worker_with_data,
-    WorkerConfig, WorkerEvent, WorkerOutcome,
-};
+pub use worker::{run_worker, run_worker_with_data, WorkerConfig, WorkerEvent, WorkerOutcome};

@@ -27,6 +27,16 @@ use crossbow_telemetry::Telemetry;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+/// Poll granularity on the follow link.
+const RECV_TIMEOUT: Duration = Duration::from_millis(100);
+/// How long to wait for the primary's `Lease` ack at registration.
+const REGISTER_TIMEOUT: Duration = Duration::from_secs(5);
+/// Extra election delay per priority unit, so standbys self-promote in
+/// priority order instead of racing.
+const ELECTION_STAGGER: Duration = Duration::from_millis(500);
+/// Per-peer ack window when probing during an election.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Standby-side configuration.
 #[derive(Clone, Debug)]
 pub struct StandbyConfig {
@@ -42,15 +52,6 @@ pub struct StandbyConfig {
     pub peers: Vec<String>,
     /// Dial/backoff discipline for registration and probes.
     pub retry: RetryPolicy,
-    /// Poll granularity on the follow link.
-    pub recv_timeout: Duration,
-    /// How long to wait for the primary's `Lease` ack at registration.
-    pub register_timeout: Duration,
-    /// Extra election delay per priority unit, so standbys self-promote
-    /// in priority order instead of racing.
-    pub election_stagger: Duration,
-    /// Per-peer ack window when probing during an election.
-    pub probe_timeout: Duration,
 }
 
 impl StandbyConfig {
@@ -61,10 +62,6 @@ impl StandbyConfig {
             priority: 1,
             peers: Vec::new(),
             retry: RetryPolicy::default(),
-            recv_timeout: Duration::from_millis(100),
-            register_timeout: Duration::from_secs(5),
-            election_stagger: Duration::from_millis(500),
-            probe_timeout: Duration::from_millis(500),
         }
     }
 }
@@ -124,7 +121,6 @@ fn register(
     term_seen: u64,
     scfg: &StandbyConfig,
     telemetry: &Telemetry,
-    deadline: Duration,
 ) -> Result<(Conn, u64), WireError> {
     let stream = connect_retry(addr, &scfg.retry, telemetry)?;
     let mut conn = Conn::new(stream, telemetry.clone()).map_err(WireError::Io)?;
@@ -132,9 +128,9 @@ fn register(
         term: term_seen,
         priority: scfg.priority,
     })?;
-    let until = Instant::now() + deadline;
+    let until = Instant::now() + REGISTER_TIMEOUT;
     loop {
-        match conn.recv_timeout(scfg.recv_timeout.min(deadline)) {
+        match conn.recv_timeout(RECV_TIMEOUT) {
             Ok(Msg::Lease { term, .. }) => return Ok((conn, term)),
             Ok(Msg::Shutdown) => return Err(WireError::Disconnected),
             Ok(_) => continue,
@@ -151,12 +147,11 @@ fn follow(
     mut term_seen: u64,
     mut last_state: Option<Vec<u8>>,
     lease_timeout: Duration,
-    scfg: &StandbyConfig,
     on_event: &dyn Fn(StandbyEvent),
 ) -> Followed {
     let mut last_signal = Instant::now();
     loop {
-        match conn.recv_timeout(scfg.recv_timeout) {
+        match conn.recv_timeout(RECV_TIMEOUT) {
             Ok(Msg::Lease { term, .. }) => {
                 term_seen = term_seen.max(term);
                 last_signal = Instant::now();
@@ -217,9 +212,9 @@ fn probe(
         priority: scfg.priority,
     })
     .ok()?;
-    let until = Instant::now() + scfg.probe_timeout;
+    let until = Instant::now() + PROBE_TIMEOUT;
     loop {
-        match conn.recv_timeout(scfg.probe_timeout) {
+        match conn.recv_timeout(PROBE_TIMEOUT) {
             Ok(Msg::Lease { term, .. }) => return Some((conn, term)),
             Ok(Msg::Shutdown) => return None,
             Ok(_) if Instant::now() < until => continue,
@@ -259,13 +254,7 @@ pub fn run_standby(
     events: Option<EventHook>,
     on_event: &dyn Fn(StandbyEvent),
 ) -> Result<StandbyOutcome, WireError> {
-    let (mut conn, mut term_seen) = register(
-        &scfg.connect,
-        dist.term,
-        scfg,
-        &telemetry,
-        scfg.register_timeout,
-    )?;
+    let (mut conn, mut term_seen) = register(&scfg.connect, dist.term, scfg, &telemetry)?;
     on_event(StandbyEvent::Registered { term: term_seen });
     let mut last_state: Option<Vec<u8>> = None;
     loop {
@@ -274,7 +263,6 @@ pub fn run_standby(
             term_seen,
             last_state.take(),
             dist.lease_timeout,
-            scfg,
             on_event,
         );
         term_seen = followed.term_seen;
@@ -285,7 +273,7 @@ pub fn run_standby(
         // Election. Stagger by priority so the fleet self-promotes in
         // order, then give way to any higher-priority peer still alive.
         conn.shutdown();
-        std::thread::sleep(scfg.election_stagger * scfg.priority.saturating_sub(1));
+        std::thread::sleep(ELECTION_STAGGER * scfg.priority.saturating_sub(1));
         let mut deferred = None;
         for peer in &scfg.peers {
             if let Some((peer_conn, term)) = probe(peer, term_seen, scfg, &telemetry) {

@@ -29,32 +29,35 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Heartbeat interval when the coordinator's `Welcome` carries 0 ms.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+/// The heartbeat thread checks its stop flag at least this often.
+const HEARTBEAT_SLICE: Duration = Duration::from_millis(50);
+/// Main-loop receive poll interval.
+const RECV_TIMEOUT: Duration = Duration::from_millis(500);
+/// Abandon a wedged ring all-gather after this long (the coordinator's
+/// resend restarts the round for everyone).
+const RING_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long to wait for the `Welcome` after sending `Hello` — long
+/// enough to sit in a standby's accept backlog through a takeover.
+const ADMIT_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Worker-side configuration.
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
     /// Coordinator address.
     pub connect: String,
-    /// Heartbeat send interval.
-    pub heartbeat_interval: Duration,
     /// Backoff discipline for the initial connect and ring links.
     pub retry: RetryPolicy,
-    /// Main-loop receive poll interval.
-    pub recv_timeout: Duration,
-    /// Abandon a wedged ring all-gather after this long (the
-    /// coordinator's resend restarts the round for everyone).
-    pub ring_timeout: Duration,
-    /// How long to wait for the `Welcome` after sending `Hello` — long
-    /// enough to sit in a standby's accept backlog through a takeover.
-    pub admit_timeout: Duration,
     /// Announce this join as a crash-recovery rejoin.
     pub rejoin: bool,
     /// Fallback coordinator addresses (standbys, in takeover-priority
-    /// order) that [`run_worker_resilient`] rotates through when the
-    /// current link dies.
+    /// order) that [`run_worker_with_data`] rotates through when the
+    /// current link dies. Non-empty turns the failover loop on.
     pub fallbacks: Vec<String>,
     /// How many consecutive *failed* sessions (ended in error without
-    /// serving a round) [`run_worker_resilient`] tolerates before it
-    /// gives up.
+    /// being admitted) the failover loop tolerates before it gives up.
+    /// Above 0 turns the failover loop on.
     pub failover_retries: u32,
     /// Seed of the full-jitter reconnect backoff; give each worker a
     /// distinct seed so a herd restarting after a failover decorrelates.
@@ -66,14 +69,10 @@ impl WorkerConfig {
     pub fn new(connect: impl Into<String>) -> Self {
         WorkerConfig {
             connect: connect.into(),
-            heartbeat_interval: Duration::from_millis(200),
             retry: RetryPolicy::default(),
-            recv_timeout: Duration::from_millis(500),
-            ring_timeout: Duration::from_secs(2),
-            admit_timeout: Duration::from_secs(30),
             rejoin: false,
             fallbacks: Vec::new(),
-            failover_retries: 8,
+            failover_retries: 0,
             jitter_seed: 0,
         }
     }
@@ -96,16 +95,15 @@ pub enum WorkerEvent {
 /// What a worker did before shutting down.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerOutcome {
-    /// The slot owned at admission (the last session's, under
-    /// [`run_worker_resilient`]).
+    /// The slot owned at admission (the last session's, under the
+    /// failover loop).
     pub slot: usize,
-    /// Gradient rounds served (summed over sessions under
-    /// [`run_worker_resilient`]).
+    /// Gradient rounds served in the last session.
     pub rounds: u64,
     /// The run iteration recorded in the admission state (non-zero for
     /// a rejoin against a mid-run checkpoint).
     pub joined_at_iteration: u64,
-    /// Coordinator sessions this worker served (1 unless the resilient
+    /// Coordinator sessions this worker served (1 unless the failover
     /// loop re-admitted it after a link loss or failover).
     pub sessions: u32,
 }
@@ -285,7 +283,9 @@ fn ring_exchange(
 }
 
 /// Runs one worker to completion: connect, admit, serve gradients until
-/// the coordinator says `Shutdown`.
+/// the coordinator says `Shutdown`. With `cfg.fallbacks` or
+/// `cfg.failover_retries` set, a lost link is survived as
+/// [`run_worker_with_data`] describes.
 ///
 /// # Errors
 /// [`WireError`] when the coordinator link dies or admission fails.
@@ -309,14 +309,94 @@ pub fn run_worker(
 /// mmap-backed shard set it opened itself. Workers without local data
 /// still serve payload-mode [`Msg::Work`] rounds.
 ///
+/// With no `cfg.fallbacks` and `cfg.failover_retries == 0` the worker
+/// serves one coordinator session. Otherwise it runs a failover loop:
+/// when a session ends in a link error, it reconnects — rotating through
+/// `cfg.connect` and `cfg.fallbacks` — and re-`Hello`s as a rejoin, with
+/// seeded full-jitter backoff between attempts so a worker herd
+/// restarting after a primary crash decorrelates. The same dataset
+/// handle is reused across sessions. The loop returns once a session
+/// ends with the coordinator's `Shutdown`; `slot`/`rounds` describe that
+/// final session, `sessions` counts every admission attempt.
+///
 /// # Errors
 /// As [`run_worker`]; additionally [`WireError::Corrupt`] when index
 /// work arrives without local data, when the assigned sample range does
-/// not fit the local dataset, or when a gather fails.
+/// not fit the local dataset, or when a gather fails. The failover loop
+/// returns the last session's error once `cfg.failover_retries + 1`
+/// consecutive sessions failed without being admitted; a session that
+/// was admitted (its `Joined` event fired) refreshes the retry budget
+/// and restarts the dial rotation at the primary address.
 ///
 /// # Panics
 /// As [`run_worker`].
 pub fn run_worker_with_data(
+    net: &Network,
+    data: Option<Arc<dyn SampleSource>>,
+    cfg: &WorkerConfig,
+    telemetry: &Telemetry,
+    on_event: &dyn Fn(WorkerEvent),
+) -> Result<WorkerOutcome, WireError> {
+    if cfg.fallbacks.is_empty() && cfg.failover_retries == 0 {
+        return run_session(net, data, cfg, telemetry, on_event);
+    }
+    let mut addrs = vec![cfg.connect.clone()];
+    addrs.extend(cfg.fallbacks.iter().cloned());
+    let mut jitter = cfg.jitter_seed;
+    let mut sessions = 0u32;
+    let mut failures = 0u32; // consecutive sessions that never joined
+    let mut next_addr = 0usize;
+    loop {
+        let joined = AtomicBool::new(false);
+        let tap = |ev: WorkerEvent| {
+            if matches!(ev, WorkerEvent::Joined { .. }) {
+                joined.store(true, Ordering::Relaxed);
+            }
+            on_event(ev);
+        };
+        let mut session_cfg = cfg.clone();
+        session_cfg.connect = addrs[next_addr % addrs.len()].clone();
+        // Any session after the first is a crash-recovery rejoin.
+        session_cfg.rejoin = cfg.rejoin || sessions > 0;
+        sessions += 1;
+        match run_session(net, data.clone(), &session_cfg, telemetry, &tap) {
+            Ok(outcome) => {
+                telemetry
+                    .metrics
+                    .counter("net.worker_sessions")
+                    .add(u64::from(sessions));
+                return Ok(WorkerOutcome {
+                    sessions,
+                    ..outcome
+                });
+            }
+            Err(e) => {
+                if joined.load(Ordering::Relaxed) {
+                    // Admitted, then the link died mid-run — the primary
+                    // crashed or we were evicted. Fresh budget, dial the
+                    // primary address first again.
+                    failures = 0;
+                    next_addr = 0;
+                } else {
+                    failures += 1;
+                    next_addr += 1;
+                    if failures > cfg.failover_retries {
+                        return Err(e);
+                    }
+                }
+                telemetry.metrics.counter("net.worker_failovers").inc();
+                std::thread::sleep(
+                    cfg.retry
+                        .jittered_backoff_for(failures.clamp(1, 6), &mut jitter),
+                );
+            }
+        }
+    }
+}
+
+/// One coordinator session: connect, admit, serve until `Shutdown` or
+/// a link error.
+fn run_session(
     net: &Network,
     data: Option<Arc<dyn SampleSource>>,
     cfg: &WorkerConfig,
@@ -342,9 +422,9 @@ pub fn run_worker_with_data(
 
     // Admission: wait for the Welcome, tolerate quiet (a standby queues
     // the Hello and answers only once it has taken over).
-    let admit_deadline = Instant::now() + cfg.admit_timeout;
+    let admit_deadline = Instant::now() + ADMIT_TIMEOUT;
     let (slot, _k, topology, weight_decay, heartbeat_ms, data_range, state) = loop {
-        match conn.recv_timeout(cfg.recv_timeout) {
+        match conn.recv_timeout(RECV_TIMEOUT) {
             Ok(Msg::Welcome {
                 slot,
                 k,
@@ -413,7 +493,7 @@ pub fn run_worker_with_data(
     let hb_interval = if heartbeat_ms > 0 {
         Duration::from_millis(heartbeat_ms)
     } else {
-        cfg.heartbeat_interval
+        HEARTBEAT_INTERVAL
     };
     let stop = Arc::new(AtomicBool::new(false));
     let slot_cell = Arc::new(AtomicU32::new(slot as u32));
@@ -445,101 +525,10 @@ pub fn run_worker_with_data(
     })
 }
 
-/// [`run_worker`] in a failover-surviving loop: when a session ends in a
-/// link error, reconnect — rotating through `cfg.connect` and
-/// `cfg.fallbacks` — and re-`Hello` as a rejoin, with seeded full-jitter
-/// backoff between attempts so a worker herd restarting after a primary
-/// crash decorrelates. Returns once a session ends with the
-/// coordinator's `Shutdown`; `slot`/`rounds` describe that final
-/// session, `sessions` counts every admission attempt.
-///
-/// # Errors
-/// The last session's [`WireError`] once `cfg.failover_retries + 1`
-/// consecutive sessions failed without being admitted. A session that
-/// was admitted (its `Joined` event fired) refreshes the retry budget
-/// and restarts the dial rotation at the primary address.
-///
-/// # Panics
-/// As [`run_worker`].
-pub fn run_worker_resilient(
-    net: &Network,
-    cfg: &WorkerConfig,
-    telemetry: &Telemetry,
-    on_event: &dyn Fn(WorkerEvent),
-) -> Result<WorkerOutcome, WireError> {
-    run_worker_resilient_with_data(net, None, cfg, telemetry, on_event)
-}
-
-/// [`run_worker_resilient`] with a locally held dataset (see
-/// [`run_worker_with_data`]). The same dataset handle is reused across
-/// reconnect sessions — remapping nothing on failover.
-///
-/// # Errors
-/// As [`run_worker_resilient`].
-///
-/// # Panics
-/// As [`run_worker`].
-pub fn run_worker_resilient_with_data(
-    net: &Network,
-    data: Option<Arc<dyn SampleSource>>,
-    cfg: &WorkerConfig,
-    telemetry: &Telemetry,
-    on_event: &dyn Fn(WorkerEvent),
-) -> Result<WorkerOutcome, WireError> {
-    let mut addrs = vec![cfg.connect.clone()];
-    addrs.extend(cfg.fallbacks.iter().cloned());
-    let mut jitter = cfg.jitter_seed;
-    let mut sessions = 0u32;
-    let mut failures = 0u32; // consecutive sessions that never joined
-    let mut next_addr = 0usize;
-    loop {
-        let joined = AtomicBool::new(false);
-        let tap = |ev: WorkerEvent| {
-            if matches!(ev, WorkerEvent::Joined { .. }) {
-                joined.store(true, Ordering::Relaxed);
-            }
-            on_event(ev);
-        };
-        let mut session_cfg = cfg.clone();
-        session_cfg.connect = addrs[next_addr % addrs.len()].clone();
-        // Any session after the first is a crash-recovery rejoin.
-        session_cfg.rejoin = cfg.rejoin || sessions > 0;
-        sessions += 1;
-        match run_worker_with_data(net, data.clone(), &session_cfg, telemetry, &tap) {
-            Ok(outcome) => {
-                telemetry
-                    .metrics
-                    .counter("net.worker_sessions")
-                    .add(u64::from(sessions));
-                return Ok(WorkerOutcome {
-                    sessions,
-                    ..outcome
-                });
-            }
-            Err(e) => {
-                if joined.load(Ordering::Relaxed) {
-                    // Admitted, then the link died mid-run — the primary
-                    // crashed or we were evicted. Fresh budget, dial the
-                    // primary address first again.
-                    failures = 0;
-                    next_addr = 0;
-                } else {
-                    failures += 1;
-                    next_addr += 1;
-                    if failures > cfg.failover_retries {
-                        return Err(e);
-                    }
-                }
-                telemetry.metrics.counter("net.worker_failovers").inc();
-                std::thread::sleep(
-                    cfg.retry
-                        .jittered_backoff_for(failures.clamp(1, 6), &mut jitter),
-                );
-            }
-        }
-    }
-}
-
+/// Pings every `interval` until `stop` is set. Sleeps in slices of at
+/// most [`HEARTBEAT_SLICE`], so a session end never waits a whole
+/// interval for the thread to notice, even when a peer-supplied interval
+/// is huge.
 fn spawn_heartbeat(
     sender: MsgSender,
     stop: Arc<AtomicBool>,
@@ -547,16 +536,23 @@ fn spawn_heartbeat(
     interval: Duration,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
+        // `None` when the interval runs past what `Instant` can hold: no
+        // ping is ever due.
+        let mut due = Instant::now().checked_add(interval);
         while !stop.load(Ordering::Relaxed) {
-            std::thread::sleep(interval);
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let ping = Msg::Ping {
-                slot: slot.load(Ordering::Relaxed),
-            };
-            if sender.send(&ping).is_err() {
-                break;
+            let now = Instant::now();
+            match due {
+                Some(at) if now >= at => {
+                    let ping = Msg::Ping {
+                        slot: slot.load(Ordering::Relaxed),
+                    };
+                    if sender.send(&ping).is_err() {
+                        break;
+                    }
+                    due = Instant::now().checked_add(interval);
+                }
+                Some(at) => std::thread::sleep((at - now).min(HEARTBEAT_SLICE)),
+                None => std::thread::sleep(HEARTBEAT_SLICE),
             }
         }
     })
@@ -646,7 +642,7 @@ fn serve(
                     iter,
                     loss,
                     &grad,
-                    cfg.ring_timeout,
+                    RING_TIMEOUT,
                     &cfg.retry,
                     telemetry,
                 );
@@ -666,7 +662,7 @@ fn serve(
     }
 
     loop {
-        match conn.recv_timeout(cfg.recv_timeout) {
+        match conn.recv_timeout(RECV_TIMEOUT) {
             Ok(Msg::Work {
                 iter,
                 slot,
@@ -734,10 +730,16 @@ mod tests {
     use super::*;
     use crossbow_nn::zoo::mlp;
 
-    /// Admits one `run_worker` session over loopback, hands it `work`
-    /// then `Shutdown`, and returns how the session ended. A worker
-    /// panic fails the test at the join.
-    fn serve_one(net: &Network, work: Msg) -> Result<WorkerOutcome, WireError> {
+    /// Admits one `run_worker` session over loopback with the given
+    /// `Welcome` heartbeat interval, hands it `work`, keeps the session
+    /// open for `linger`, then sends `Shutdown` and returns how the
+    /// session ended. A worker panic fails the test at the join.
+    fn serve_one(
+        net: &Network,
+        work: Msg,
+        heartbeat_ms: u64,
+        linger: Duration,
+    ) -> Result<WorkerOutcome, WireError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::scope(|scope| {
@@ -760,32 +762,39 @@ mod tests {
                 k: 1,
                 topology: 0,
                 weight_decay: 0.0,
-                heartbeat_ms: 0,
+                heartbeat_ms,
                 data_lo: 0,
                 data_hi: 0,
                 state: TrainingState::default().encode(),
             })
             .unwrap();
             conn.send(&work).unwrap();
+            std::thread::sleep(linger);
             // The worker may already have hung up on a bad frame.
             let _ = conn.send(&Msg::Shutdown);
             worker.join().expect("the worker must not panic")
         })
     }
 
-    #[test]
-    fn malformed_work_is_a_typed_error_not_a_panic() {
-        // Input shape [4], 3 classes.
-        let net = mlp(4, &[8], 3);
-        let work = |dims: Vec<u64>, images: usize, labels: Vec<u64>| Msg::Work {
+    /// A `Work` message for `net` (input shape [4]).
+    fn work_for(net: &Network, dims: Vec<u64>, images: usize, labels: Vec<u64>) -> Msg {
+        Msg::Work {
             iter: 1,
             slot: 0,
             params: vec![0.01; net.param_len()],
             dims,
             images: vec![0.5; images],
             labels,
-        };
-        let outcome = serve_one(&net, work(vec![2, 4], 8, vec![0, 2])).expect("well-formed work");
+        }
+    }
+
+    #[test]
+    fn malformed_work_is_a_typed_error_not_a_panic() {
+        // Input shape [4], 3 classes.
+        let net = mlp(4, &[8], 3);
+        let work = |dims, images, labels| work_for(&net, dims, images, labels);
+        let outcome = serve_one(&net, work(vec![2, 4], 8, vec![0, 2]), 0, Duration::ZERO)
+            .expect("well-formed work");
         assert_eq!(outcome.rounds, 1);
         let bad = [
             (
@@ -806,12 +815,30 @@ mod tests {
             ("empty batch", work(vec![0, 4], 0, vec![])),
         ];
         for (why, msg) in bad {
-            match serve_one(&net, msg) {
+            match serve_one(&net, msg, 0, Duration::ZERO) {
                 Err(WireError::Corrupt(what)) => {
                     assert_eq!(what, "work does not fit the local model", "{why}")
                 }
                 other => panic!("{why}: expected a corrupt-work error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_huge_heartbeat_interval_does_not_wedge_the_session_end() {
+        // A peer-supplied interval near `u64::MAX` ms: the heartbeat
+        // thread, asleep by the time the session ends, must still notice
+        // the end promptly.
+        let net = mlp(4, &[8], 3);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let work = work_for(&net, vec![2, 4], 8, vec![0, 2]);
+            let linger = Duration::from_millis(200);
+            let _ = tx.send(serve_one(&net, work, u64::MAX, linger).map(|o| o.rounds));
+        });
+        let served = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the session must end within 5 s");
+        assert_eq!(served.expect("well-formed work"), 1);
     }
 }

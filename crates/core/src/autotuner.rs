@@ -102,6 +102,13 @@ impl AutoTuner {
     }
 }
 
+/// The tuner's throughput tolerance, as a fraction of the one-learner
+/// throughput (Algorithm 2's τ parameter).
+pub const TUNER_TOLERANCE: f64 = 0.05;
+
+/// Cap on the learners per GPU the tuner may reach.
+pub const MAX_LEARNERS_PER_GPU: usize = 8;
+
 /// Runs the tuner against a throughput oracle until it settles (or a step
 /// cap is hit) and returns `(chosen learners per GPU, the (m, throughput)
 /// observations)`. The oracle is typically a GPU-simulator run; tests use

@@ -13,13 +13,13 @@
 //! a small model while serving it under load with micro-batching and
 //! hot-swapped snapshots; `models` lists the benchmarks.
 
-use crossbow::autotuner::tune_to_convergence;
+use crossbow::autotuner::{tune_to_convergence, MAX_LEARNERS_PER_GPU, TUNER_TOLERANCE};
 use crossbow::benchmark::Benchmark;
 use crossbow::comms::{
-    demo_algo, demo_task, run_chaos, run_standby, run_worker_resilient_with_data,
-    run_worker_with_data, ChaosOptions, ChaosScenario, ClusterEvent, Coordinator, DistConfig,
-    DistReport, NetFaultPlan, SimPhase, SimPhaseReport, StandbyConfig, StandbyEvent,
-    StandbyOutcome, Topology, WorkerConfig, WorkerEvent,
+    demo_algo, demo_task, run_chaos, run_standby, run_worker_with_data, ChaosOptions,
+    ChaosScenario, ClusterEvent, Coordinator, DistConfig, DistReport, NetFaultPlan, SimPhase,
+    SimPhaseReport, StandbyConfig, StandbyEvent, StandbyOutcome, Topology, WorkerConfig,
+    WorkerEvent,
 };
 use crossbow::engine::{AlgorithmKind, Session, SessionConfig};
 use crossbow::exec_sim::{
@@ -751,7 +751,6 @@ fn dist_worker(flags: &Flags<'_>) -> Result<(), String> {
         }
         None => None,
     };
-    let resilient = cfg.failover_retries > 0 || !cfg.fallbacks.is_empty();
     let (net, _, _) = demo_task();
     let telemetry = Telemetry::disabled();
     let on_event = |event: WorkerEvent| match event {
@@ -761,12 +760,8 @@ fn dist_worker(flags: &Flags<'_>) -> Result<(), String> {
             rejoin,
         } => println!("WORKER JOINED slot={slot} iter={iterations} rejoin={rejoin}"),
     };
-    let outcome = if resilient {
-        run_worker_resilient_with_data(&net, data, &cfg, &telemetry, &on_event)
-    } else {
-        run_worker_with_data(&net, data, &cfg, &telemetry, &on_event)
-    }
-    .map_err(|e| format!("worker failed: {e}"))?;
+    let outcome = run_worker_with_data(&net, data, &cfg, &telemetry, &on_event)
+        .map_err(|e| format!("worker failed: {e}"))?;
     println!(
         "WORKER DONE slot={} rounds={} joined_at={} sessions={}",
         outcome.slot, outcome.rounds, outcome.joined_at_iteration, outcome.sessions
@@ -890,7 +885,8 @@ fn cmd_autotune(args: &[String]) -> Result<(), String> {
     let probe =
         |m: usize| simulate(&SimConfig::crossbow(benchmark.profile, gpus, m, batch)).throughput;
     let base = probe(1);
-    let (chosen, observations) = tune_to_convergence(base * 0.05, 8, probe);
+    let (chosen, observations) =
+        tune_to_convergence(base * TUNER_TOLERANCE, MAX_LEARNERS_PER_GPU, probe);
     println!("{} on {gpus} GPU(s), b={batch}:", benchmark.profile.name);
     for (m, t) in &observations {
         println!(

@@ -15,7 +15,7 @@
 //! 4. the two halves multiply into **time-to-accuracy**, the paper's
 //!    headline metric.
 
-use crate::autotuner::tune_to_convergence;
+use crate::autotuner::{tune_to_convergence, MAX_LEARNERS_PER_GPU, TUNER_TOLERANCE};
 use crate::benchmark::Benchmark;
 use crate::exec_sim::{
     simulate, simulate_robust_with_machine, simulate_with_machine, EngineKind, RobustSimConfig,
@@ -54,7 +54,7 @@ pub enum AlgorithmKind {
 
 /// Fault-tolerance policy of a session: what faults to simulate on the
 /// hardware half and how aggressively to self-heal on both halves.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RobustnessConfig {
     /// Fault plan for the simulated hardware run. `None` derives a small
     /// seeded plan from the session seed ([`FaultPlan::from_seed`]) over
@@ -62,8 +62,6 @@ pub struct RobustnessConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Divergence guard for the statistical (real training) run.
     pub guard: GuardConfig,
-    /// Retry cap for failed tasks and global synchronisations.
-    pub max_retries: u32,
     /// Test hook: treat the n-th training iteration's losses as NaN, so
     /// the rollback path can be exercised end to end.
     pub inject_nan_at: Option<u64>,
@@ -72,18 +70,6 @@ pub struct RobustnessConfig {
     /// checkpoints (see [`SessionConfig::checkpoint`]) survive for a
     /// resumed session.
     pub crash_after: Option<u64>,
-}
-
-impl Default for RobustnessConfig {
-    fn default() -> Self {
-        RobustnessConfig {
-            fault_plan: None,
-            guard: GuardConfig::default(),
-            max_retries: 4,
-            inject_nan_at: None,
-            crash_after: None,
-        }
-    }
 }
 
 /// Configuration of one training session.
@@ -105,11 +91,6 @@ pub struct SessionConfig {
     pub target_accuracy: Option<f64>,
     /// Master seed (dataset, init, batch order).
     pub seed: u64,
-    /// Auto-tuner throughput tolerance, as a fraction of the current
-    /// throughput (paper Algorithm 2's τ parameter).
-    pub tuner_tolerance: f64,
-    /// Cap on learners per GPU the tuner may reach.
-    pub max_learners_per_gpu: usize,
     /// Fault injection + self-healing policy; `None` runs fault-free.
     pub robustness: Option<RobustnessConfig>,
     /// Durable checkpointing of the statistical run; a session restarted
@@ -139,8 +120,6 @@ impl SessionConfig {
             max_epochs: None,
             target_accuracy: None,
             seed: 42,
-            tuner_tolerance: 0.05,
-            max_learners_per_gpu: 8,
             robustness: None,
             checkpoint: None,
             telemetry: None,
@@ -283,7 +262,6 @@ impl Session {
     pub fn new(config: SessionConfig) -> Self {
         assert!(config.gpus >= 1, "need at least one GPU");
         assert!(config.batch_per_learner >= 1, "need a batch");
-        assert!(config.max_learners_per_gpu >= 1);
         if config.algorithm == AlgorithmKind::SSgd {
             assert!(
                 config.learners_per_gpu.unwrap_or(1) == 1,
@@ -339,8 +317,8 @@ impl Session {
             None => {
                 let probe = |m: usize| simulate(&self.sim_config(m)).throughput;
                 let base = probe(1);
-                let tolerance = base * c.tuner_tolerance;
-                let (m, _) = tune_to_convergence(tolerance, c.max_learners_per_gpu, probe);
+                let (m, _) =
+                    tune_to_convergence(base * TUNER_TOLERANCE, MAX_LEARNERS_PER_GPU, probe);
                 m
             }
         };
@@ -372,9 +350,7 @@ impl Session {
                         SimDuration::from_secs_f64(horizon.as_secs_f64()),
                     )
                 });
-                let mut robust = RobustSimConfig::new(sim, plan);
-                robust.max_retries = r.max_retries;
-                simulate_robust_with_machine(&robust)
+                simulate_robust_with_machine(&RobustSimConfig::new(sim, plan))
             }
             None => simulate_with_machine(&sim),
         };
@@ -443,7 +419,6 @@ impl Session {
             target_accuracy: Some(c.target_accuracy.unwrap_or(c.benchmark.scaled_target)),
             schedule: c.benchmark.schedule(),
             weight_decay: 1e-4,
-            eval_batch: 256,
             seed: c.seed,
             threads: 0,
             partition: None,

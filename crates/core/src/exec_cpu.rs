@@ -34,7 +34,7 @@ use crossbow_checkpoint::{
 };
 use crossbow_data::{BatchSampler, Dataset};
 use crossbow_nn::{Network, Scratch};
-use crossbow_sync::CheckpointConfig;
+use crossbow_sync::{CheckpointConfig, SmaConfig, EVAL_BATCH};
 use crossbow_telemetry::{SpanKind, Telemetry, HOST_DEVICE};
 use crossbow_tensor::ops;
 use crossbow_tensor::stats::WindowedMedian;
@@ -53,17 +53,16 @@ pub struct CpuEngineConfig {
     /// Batch size per learner.
     pub batch_per_learner: usize,
     /// Learning rate (constant; the runtime demonstrates the engine, not
-    /// schedules).
+    /// schedules). Centre momentum µ and correction strength α = 1/k are
+    /// [`SmaConfig::default`]'s.
     pub lr: f32,
-    /// Central-model momentum µ.
-    pub momentum: f32,
-    /// Correction strength α (`None` = 1/k).
-    pub alpha: Option<f32>,
     /// Weight decay added to gradients.
     pub weight_decay: f32,
     /// Stop after this many epochs (per the shared epoch clock).
     pub max_epochs: usize,
-    /// Stop early at this median-of-5 test accuracy.
+    /// Record in [`CpuEngineReport::epochs_to_target`] the first epoch
+    /// at which the median-of-5 test accuracy reaches this value. The run
+    /// still trains for `max_epochs`.
     pub target_accuracy: Option<f64>,
     /// Master seed.
     pub seed: u64,
@@ -89,8 +88,6 @@ impl CpuEngineConfig {
             learners,
             batch_per_learner,
             lr: 0.1,
-            momentum: 0.9,
-            alpha: None,
             weight_decay: 1e-4,
             max_epochs: 10,
             target_accuracy: None,
@@ -206,7 +203,9 @@ pub fn train_concurrent(
     assert!(config.learners > 0, "need at least one learner");
     assert!(config.max_epochs > 0, "need at least one epoch");
     let k = config.learners;
-    let alpha = config.alpha.unwrap_or(1.0 / k as f32);
+    let sma = SmaConfig::default();
+    let alpha = sma.alpha.unwrap_or(1.0 / k as f32);
+    let momentum = sma.momentum;
     let plen = net.param_len();
     let mut rng = crossbow_tensor::Rng::new(config.seed ^ 0xC0FFEE);
     let mut init = net.init_params(&mut rng);
@@ -405,7 +404,6 @@ pub fn train_concurrent(
         let mut next_iteration = 0u64;
         let mut current_epoch = 0usize;
         let mut samples = 0u64;
-        let mut stop_at_epoch: Option<usize> = None;
         // Recycled storage for published snapshots: once every learner has
         // dropped an old version, its Vec comes back here.
         let mut snapshot_pool: Vec<Vec<f32>> = Vec::new();
@@ -434,7 +432,7 @@ pub fn train_concurrent(
                 let t_sync = shard.now_ns();
                 for ((zi, zpi), &ci) in z.iter_mut().zip(z_prev.iter_mut()).zip(&sum_c) {
                     let old = *zi;
-                    *zi = old + ci + config.momentum * (old - *zpi);
+                    *zi = old + ci + momentum * (old - *zpi);
                     *zpi = old;
                 }
                 // Return the drained accumulator to a lane (round-robin).
@@ -461,7 +459,7 @@ pub fn train_concurrent(
                 let boundary = epoch > current_epoch || next_iteration == iterations_total;
                 if boundary {
                     let t_eval = shard.now_ns();
-                    let acc = net.evaluate(&z, &test_images, &test_labels, 256);
+                    let acc = net.evaluate(&z, &test_images, &test_labels, EVAL_BATCH);
                     shard.close(
                         SpanKind::Eval,
                         "eval",
@@ -477,18 +475,14 @@ pub fn train_concurrent(
                     {
                         if median5.median().is_some_and(|m| m >= target) {
                             report.epochs_to_target = Some(finished);
-                            // Let the in-flight iterations drain; learners
-                            // stop at the epoch clock.
-                            stop_at_epoch.get_or_insert(epoch);
                         }
                     }
                     current_epoch = epoch;
                     report.final_accuracy = acc;
                 }
                 if let (Some(writer), Some(ck)) = (writer.as_mut(), config.checkpoint.as_ref()) {
-                    let save_boundary = boundary && ck.at_epoch_boundaries;
                     let periodic = ck.every > 0 && report.iterations.is_multiple_of(ck.every);
-                    if save_boundary || periodic {
+                    if boundary || periodic {
                         let mut epoch_accuracy = prior_accuracy.clone();
                         epoch_accuracy.extend_from_slice(&report.epoch_accuracy);
                         let state = TrainingState {
@@ -514,7 +508,7 @@ pub fn train_concurrent(
                             ..TrainingState::default()
                         };
                         let t_ck = shard.now_ns();
-                        if let Err(e) = writer.submit(state, save_boundary) {
+                        if let Err(e) = writer.submit(state, boundary) {
                             central.abort();
                             failure = Some(e);
                             break 'manager;
@@ -728,7 +722,6 @@ mod tests {
             target_accuracy: None,
             schedule: crossbow_sync::LrSchedule::Constant { lr: cfg.lr },
             weight_decay: cfg.weight_decay,
-            eval_batch: 256,
             seed: cfg.seed,
             threads: 1,
             partition: None,

@@ -414,19 +414,6 @@ pub struct RobustSimConfig {
     pub sim: SimConfig,
     /// Faults to inject.
     pub faults: FaultPlan,
-    /// Retry cap per task and per global synchronisation.
-    pub max_retries: u32,
-    /// First backoff delay; doubles per retry.
-    pub backoff_base: SimDuration,
-    /// Upper bound on a single backoff delay.
-    pub backoff_cap: SimDuration,
-    /// A GPU is "slow" when its iteration span exceeds the median span
-    /// across GPUs by this factor.
-    pub slow_factor: f64,
-    /// Consecutive slow iterations before quarantine.
-    pub quarantine_after: u32,
-    /// Consecutive healthy iterations before a quarantined GPU rejoins.
-    pub rejoin_after: u32,
     /// First iteration to execute (0 for a fresh run). A run resumed from
     /// a checkpoint sets this to the checkpoint's iteration so the
     /// simulation replays only the remaining work.
@@ -439,12 +426,6 @@ impl RobustSimConfig {
         RobustSimConfig {
             sim,
             faults,
-            max_retries: 4,
-            backoff_base: SimDuration::from_micros(50),
-            backoff_cap: SimDuration::from_millis(5),
-            slow_factor: 1.5,
-            quarantine_after: 2,
-            rejoin_after: 2,
             start_iter: 0,
         }
     }
@@ -456,15 +437,28 @@ impl RobustSimConfig {
     }
 }
 
+/// Retry cap per task and per global synchronisation.
+const MAX_RETRIES: u32 = 4;
+/// First backoff delay; doubles per retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_micros(50);
+/// Upper bound on a single backoff delay.
+const BACKOFF_CAP: SimDuration = SimDuration::from_millis(5);
+/// A GPU is "slow" when its iteration span exceeds the median span
+/// across GPUs by this factor.
+const SLOW_FACTOR: f64 = 1.5;
+/// Consecutive slow iterations before quarantine.
+const QUARANTINE_AFTER: u32 = 2;
+/// Consecutive healthy iterations before a quarantined GPU rejoins.
+const REJOIN_AFTER: u32 = 2;
+
 /// Backoff before retry `attempt` (1-based): `base * 2^(attempt-1)`,
 /// capped.
-fn backoff_for(config: &RobustSimConfig, attempt: u32) -> SimDuration {
+fn backoff_for(attempt: u32) -> SimDuration {
     let exp = attempt.saturating_sub(1).min(20);
-    let nanos = config
-        .backoff_base
+    let nanos = BACKOFF_BASE
         .as_nanos()
         .saturating_mul(1u64 << exp)
-        .min(config.backoff_cap.as_nanos());
+        .min(BACKOFF_CAP.as_nanos());
     SimDuration::from_nanos(nanos)
 }
 
@@ -531,7 +525,6 @@ pub fn simulate_robust_with_machine(config: &RobustSimConfig) -> (SimReport, Mac
         sim.iterations > sim.warmup,
         "need measured iterations after warmup"
     );
-    assert!(config.slow_factor > 1.0, "slow factor must exceed 1");
 
     let mut machine_config =
         MachineConfig::titan_x_server(sim.gpus).with_faults(config.faults.clone());
@@ -603,7 +596,7 @@ pub fn simulate_robust_with_machine(config: &RobustSimConfig) -> (SimReport, Mac
         // Await every learner callback; retry failed tasks on the same
         // stream (the sticky error is cleared once observed).
         let mut outstanding = gpus * m;
-        let mut retries_left = vec![config.max_retries; gpus * m];
+        let mut retries_left = vec![MAX_RETRIES; gpus * m];
         let mut gpu_done = vec![iter_start; gpus];
         while outstanding > 0 {
             let c = machine
@@ -624,9 +617,9 @@ pub fn simulate_robust_with_machine(config: &RobustSimConfig) -> (SimReport, Mac
             } else {
                 retries_left[learner] -= 1;
                 counters.task_retries += 1;
-                let attempt = config.max_retries - retries_left[learner];
+                let attempt = MAX_RETRIES - retries_left[learner];
                 let stream = learner_streams[g][learner % m];
-                machine.delay(stream, backoff_for(config, attempt), "retry-backoff");
+                machine.delay(stream, backoff_for(attempt), "retry-backoff");
                 learn_ev[learner] = submit_learn_task(
                     &mut machine,
                     stream,
@@ -651,7 +644,7 @@ pub fn simulate_robust_with_machine(config: &RobustSimConfig) -> (SimReport, Mac
         // from the healthy half, or a straggler inflates its own yardstick.
         let median = sorted[(gpus - 1) / 2];
         for g in 0..gpus {
-            let slow = median > 0.0 && spans[g] > config.slow_factor * median;
+            let slow = median > 0.0 && spans[g] > SLOW_FACTOR * median;
             if slow {
                 slow_streak[g] += 1;
                 healthy_streak[g] = 0;
@@ -660,10 +653,10 @@ pub fn simulate_robust_with_machine(config: &RobustSimConfig) -> (SimReport, Mac
                 slow_streak[g] = 0;
             }
             let active_count = active.iter().filter(|&&a| a).count();
-            if active[g] && slow_streak[g] >= config.quarantine_after && active_count > 1 {
+            if active[g] && slow_streak[g] >= QUARANTINE_AFTER && active_count > 1 {
                 active[g] = false;
                 counters.quarantines += 1;
-            } else if !active[g] && healthy_streak[g] >= config.rejoin_after {
+            } else if !active[g] && healthy_streak[g] >= REJOIN_AFTER {
                 active[g] = true;
                 counters.rejoins += 1;
             }
@@ -709,7 +702,7 @@ pub fn simulate_robust_with_machine(config: &RobustSimConfig) -> (SimReport, Mac
                     }
                     break;
                 }
-                if attempt >= config.max_retries {
+                if attempt >= MAX_RETRIES {
                     // Give up: replicas continue against the previous
                     // average model (SMA tolerates a skipped sync).
                     counters.dropped_syncs += 1;
@@ -718,7 +711,7 @@ pub fn simulate_robust_with_machine(config: &RobustSimConfig) -> (SimReport, Mac
                 attempt += 1;
                 counters.sync_retries += 1;
                 for &s in &group_streams {
-                    machine.delay(s, backoff_for(config, attempt), "sync-backoff");
+                    machine.delay(s, backoff_for(attempt), "sync-backoff");
                 }
             }
         }

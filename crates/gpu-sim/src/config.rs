@@ -80,12 +80,6 @@ impl MachineConfig {
         }
     }
 
-    /// Disables trace recording (builder style).
-    pub fn without_trace(mut self) -> Self {
-        self.record_trace = false;
-        self
-    }
-
     /// Installs a fault schedule (builder style).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
@@ -112,11 +106,5 @@ mod tests {
         let one = d.effective_flops(1);
         let all = d.effective_flops(d.sm_total);
         assert!((all / one - f64::from(d.sm_total)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn without_trace_clears_flag() {
-        let c = MachineConfig::titan_x_server(1).without_trace();
-        assert!(!c.record_trace);
     }
 }

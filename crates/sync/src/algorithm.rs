@@ -10,8 +10,8 @@
 //! 3. evaluates the [`SyncAlgorithm::consensus`] model at epoch ends.
 //!
 //! The abstraction deliberately matches Figure 4: learners always compute
-//! gradients against their own replica; what differs between S-SGD, SMA,
-//! EA-SGD and A-SGD is purely what `step` does.
+//! gradients against their own replica; what differs between S-SGD, SMA
+//! and EA-SGD is purely what `step` does.
 
 /// A parallel training algorithm over `k` model replicas.
 pub trait SyncAlgorithm: Send {
@@ -70,24 +70,12 @@ pub trait SyncAlgorithm: Send {
 }
 
 /// A point-in-time copy of an algorithm's full training state —
-/// `(z, z_prev, replicas, iteration)`. This is the unit of rollback for
-/// the divergence guard: restoring one and restarting averaging (§3.2)
-/// resumes training from a known-good model.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AlgoSnapshot {
-    /// The consensus / central average model `z`.
-    pub center: Vec<f32>,
-    /// `z_prev`, carrying the Polyak momentum history.
-    pub center_prev: Vec<f32>,
-    /// All replicas.
-    pub replicas: Vec<Vec<f32>>,
-    /// Algorithm-specific auxiliary buffers beyond centre and replicas:
-    /// S-SGD stores its optimiser velocity here, hierarchical SMA its
-    /// per-group reference models. Empty for flat SMA.
-    pub aux: Vec<Vec<f32>>,
-    /// The iteration counter (the τ phase).
-    pub iter: u64,
-}
+/// `(z, z_prev, replicas, aux, iteration)`. This is the unit of rollback
+/// for the divergence guard: restoring one and restarting averaging
+/// (§3.2) resumes training from a known-good model. It is the same type
+/// a durable checkpoint stores, so a snapshot moves into a checkpoint,
+/// and back, without a copy.
+pub use crossbow_checkpoint::AlgoState as AlgoSnapshot;
 
 /// Test helper: mean pairwise squared distance between replicas — a
 /// measure of replica diversity used by SMA tests.

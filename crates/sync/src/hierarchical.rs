@@ -28,8 +28,6 @@ pub struct HierarchicalSma {
     center: Vec<f32>,
     center_prev: Vec<f32>,
     config: SmaConfig,
-    /// Intra-group correction strength (`None` = 1 / group size).
-    local_alpha: Option<f32>,
     iter: u64,
     sum_c: Vec<f32>,
 }
@@ -61,7 +59,6 @@ impl HierarchicalSma {
             center_prev: initial.clone(),
             center: initial,
             config,
-            local_alpha: None,
             iter: 0,
             sum_c: vec![0.0; len],
         }
@@ -115,7 +112,7 @@ impl SyncAlgorithm for HierarchicalSma {
             // Intra-group: replicas toward their reference.
             for group in &mut self.groups {
                 let m = group.replicas.len();
-                let alpha_l = self.local_alpha.unwrap_or(1.0 / m as f32);
+                let alpha_l = 1.0 / m as f32;
                 for w in &mut group.replicas {
                     let g = &grads[gi];
                     gi += 1;

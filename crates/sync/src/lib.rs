@@ -40,5 +40,5 @@ pub use ssgd::SSgd;
 pub use trainer::{
     resume, resume_with_source, train, train_from_state_with_source, train_with_source,
     CheckpointConfig, GradientSource, GuardConfig, LearnerBatch, LocalGradients, PublishHook,
-    RoundStatus, StateHook, TrainerConfig, TrainingCurve,
+    RoundStatus, StateHook, TrainerConfig, TrainingCurve, EVAL_BATCH,
 };

@@ -14,8 +14,7 @@
 use crate::algorithm::{AlgoSnapshot, SyncAlgorithm};
 use crate::schedule::LrSchedule;
 use crossbow_checkpoint::{
-    AlgoState, CheckpointError, CheckpointStore, CheckpointWriter, DataCursor, RetentionPolicy,
-    TrainingState,
+    CheckpointError, CheckpointStore, CheckpointWriter, DataCursor, RetentionPolicy, TrainingState,
 };
 use crossbow_data::{BatchSampler, PartitionPlan, PartitionSampler, SampleSource};
 use crossbow_nn::{Network, Scratch};
@@ -24,6 +23,18 @@ use crossbow_tensor::stats::WindowedMedian;
 use crossbow_tensor::{RngState, Tensor};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Evaluation batch size of the epoch-end test pass (also used by the
+/// concurrent runtime in the `crossbow` crate).
+pub const EVAL_BATCH: usize = 256;
+
+/// Divergence guard: refresh the in-memory rollback snapshot every this
+/// many applied iterations.
+const GUARD_CHECKPOINT_EVERY: u64 = 50;
+
+/// Divergence guard: roll back when an epoch's test accuracy drops more
+/// than this below the best epoch so far.
+const GUARD_COLLAPSE_DROP: f64 = 0.25;
 
 /// A consumer of freshly synchronised consensus models.
 ///
@@ -133,8 +144,6 @@ pub struct TrainerConfig {
     pub schedule: LrSchedule,
     /// Weight decay added to every learner gradient.
     pub weight_decay: f32,
-    /// Evaluation batch size.
-    pub eval_batch: usize,
     /// Seed for batch order.
     pub seed: u64,
     /// Gradient-computation threads (0 = one per learner, capped at the
@@ -189,12 +198,10 @@ pub struct CheckpointConfig {
     /// Directory the checkpoints live in (created on first save).
     pub dir: PathBuf,
     /// Write a periodic checkpoint every this many iterations (0 turns
-    /// periodic checkpoints off).
+    /// periodic checkpoints off). Every epoch boundary is checkpointed
+    /// too (after evaluation and any learning-rate restart), flagged so
+    /// the retention policy can pin it.
     pub every: u64,
-    /// Also checkpoint at every epoch boundary (after evaluation and any
-    /// learning-rate restart), flagged so the retention policy can pin
-    /// them.
-    pub at_epoch_boundaries: bool,
     /// Retention: keep the newest this many checkpoints (epoch-boundary
     /// checkpoints are always kept).
     pub keep_last: usize,
@@ -210,7 +217,6 @@ impl CheckpointConfig {
         CheckpointConfig {
             dir: dir.into(),
             every: 50,
-            at_epoch_boundaries: true,
             keep_last: 3,
             learners_per_gpu: 0,
         }
@@ -247,19 +253,14 @@ impl CheckpointConfig {
 
 /// Settings of the divergence guard.
 ///
-/// The guard keeps a periodic in-memory checkpoint of the algorithm's
-/// full state (`z`, replicas, momentum — an [`AlgoSnapshot`]). When an
-/// iteration produces a non-finite loss, or the test accuracy collapses
-/// below the best seen, it restores the checkpoint and restarts the
-/// averaging process through the §3.2 restart path
-/// ([`SyncAlgorithm::on_lr_change`]).
+/// The guard keeps an in-memory checkpoint of the algorithm's full
+/// state (`z`, replicas, momentum — an [`AlgoSnapshot`]), refreshed every
+/// 50 applied iterations. When an iteration produces a non-finite loss,
+/// or an epoch's test accuracy drops more than 0.25 below the best epoch
+/// so far, it restores the checkpoint and restarts the averaging process
+/// through the §3.2 restart path ([`SyncAlgorithm::on_lr_change`]).
 #[derive(Clone, Copy, Debug)]
 pub struct GuardConfig {
-    /// Refresh the checkpoint every this many iterations.
-    pub checkpoint_every: u64,
-    /// Roll back when epoch-end test accuracy drops more than this many
-    /// points below the best epoch so far.
-    pub collapse_drop: f64,
     /// Stop rolling back (and train on unguarded) after this many
     /// rollbacks, so a fundamentally broken run still terminates.
     pub max_rollbacks: u32,
@@ -267,11 +268,7 @@ pub struct GuardConfig {
 
 impl Default for GuardConfig {
     fn default() -> Self {
-        GuardConfig {
-            checkpoint_every: 50,
-            collapse_drop: 0.25,
-            max_rollbacks: 4,
-        }
+        GuardConfig { max_rollbacks: 4 }
     }
 }
 
@@ -284,7 +281,6 @@ impl TrainerConfig {
             target_accuracy: None,
             schedule: LrSchedule::Constant { lr: 0.05 },
             weight_decay: 1e-4,
-            eval_batch: 256,
             seed: 42,
             threads: 0,
             guard: None,
@@ -630,27 +626,6 @@ struct Progress {
     guard: Option<AlgoSnapshot>,
 }
 
-/// Moves a snapshot's vectors into the durable form, copying nothing.
-fn snapshot_into_state(snap: AlgoSnapshot) -> AlgoState {
-    AlgoState {
-        center: snap.center,
-        center_prev: snap.center_prev,
-        replicas: snap.replicas,
-        aux: snap.aux,
-        iter: snap.iter,
-    }
-}
-
-fn state_into_snapshot(state: AlgoState) -> AlgoSnapshot {
-    AlgoSnapshot {
-        center: state.center,
-        center_prev: state.center_prev,
-        replicas: state.replicas,
-        aux: state.aux,
-        iter: state.iter,
-    }
-}
-
 /// The trainer's data-order engine: either the classic shared
 /// [`BatchSampler`] (one global shuffle, `k` draws per iteration) or a
 /// [`PartitionSampler`] (one contiguous range per learner, lockstep
@@ -746,8 +721,8 @@ fn capture_state(
             batch: batch as u64,
             groups: sampler.groups(),
         },
-        algo: snapshot_into_state(snap),
-        guard: progress.guard.clone().map(snapshot_into_state),
+        algo: snap,
+        guard: progress.guard.clone(),
         rngs: sampler.rng_states(),
         learners_per_gpu: config.checkpoint.as_ref().map_or(0, |c| c.learners_per_gpu),
     })
@@ -867,7 +842,7 @@ fn run(
 
     if let Some(st) = restored {
         assert!(
-            algo.restore(&state_into_snapshot(st.algo)),
+            algo.restore(&st.algo),
             "checkpoint does not fit this algorithm"
         );
         assert_eq!(
@@ -900,10 +875,9 @@ fn run(
         progress.epoch_loss_sum = st.epoch_loss_sum;
         progress.epoch_loss_count = st.epoch_loss_count;
         progress.best_accuracy = st.best_accuracy;
-        progress.guard = match st.guard {
-            Some(g) => Some(state_into_snapshot(g)),
-            None => config.guard.and_then(|_| algo.snapshot()),
-        };
+        progress.guard = st
+            .guard
+            .or_else(|| config.guard.and_then(|_| algo.snapshot()));
         // A checkpoint written at completion resumes to a finished run.
         let done_target = config.target_accuracy.is_some() && curve.epochs_to_target.is_some();
         if curve.epoch_accuracy.len() >= config.max_epochs || done_target {
@@ -1041,11 +1015,9 @@ fn run(
                 );
             }
         }
-        if let Some(g) = config.guard {
-            if curve.iterations.is_multiple_of(g.checkpoint_every) {
-                if let Some(snap) = algo.snapshot() {
-                    progress.guard = Some(snap);
-                }
+        if config.guard.is_some() && curve.iterations.is_multiple_of(GUARD_CHECKPOINT_EVERY) {
+            if let Some(snap) = algo.snapshot() {
+                progress.guard = Some(snap);
             }
         }
 
@@ -1054,12 +1026,7 @@ fn run(
         if sampler.epoch() > progress.current_epoch {
             // Epoch boundary: evaluate, record, handle schedule changes.
             let t_eval = shard.now_ns();
-            let acc = net.evaluate(
-                algo.consensus(),
-                &test_images,
-                &test_labels,
-                config.eval_batch,
-            );
+            let acc = net.evaluate(algo.consensus(), &test_images, &test_labels, EVAL_BATCH);
             shard.close(
                 SpanKind::Eval,
                 "eval",
@@ -1079,7 +1046,7 @@ fn run(
             if let Some(g) = config.guard {
                 // Accuracy collapse (e.g. silent numeric corruption):
                 // restore the checkpoint and restart averaging.
-                if acc + g.collapse_drop < progress.best_accuracy
+                if acc + GUARD_COLLAPSE_DROP < progress.best_accuracy
                     && curve.rollbacks < g.max_rollbacks
                 {
                     if let Some(snap) = &progress.guard {
@@ -1121,11 +1088,7 @@ fn run(
             }
             // Saved *after* the learning-rate restart so the restored
             // state reflects the post-restart algorithm, not a hybrid.
-            if config
-                .checkpoint
-                .as_ref()
-                .is_some_and(|c| c.at_epoch_boundaries)
-            {
+            if config.checkpoint.is_some() {
                 save = Some(true);
             }
         }
@@ -1452,10 +1415,7 @@ mod tests {
         // so force it by injecting at attempt 0 and relying on the rolled
         // back state replaying attempt numbers... instead, cap at 0 and
         // check the guard stands down immediately.
-        let guard = GuardConfig {
-            max_rollbacks: 0,
-            ..GuardConfig::default()
-        };
+        let guard = GuardConfig { max_rollbacks: 0 };
         let cfg = TrainerConfig {
             inject_nan_at: Some(1),
             ..TrainerConfig::new(8, 2).with_guard(guard)
