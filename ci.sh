@@ -30,6 +30,14 @@ echo "== tests (wall-clock bounded) =="
 # wedging it.
 timeout 900 cargo test -q
 
+echo "== numeric suites on each forced GEMM tier (wall-clock bounded) =="
+# Detection picks the fastest tier the CPU supports, so without these
+# runs an AVX-512 host exercises the scalar and AVX2 packers and
+# micro-kernels only inside `with_kernel` unit tests, never under a whole
+# network. (An override the CPU cannot run falls back to detection.)
+CROSSBOW_GEMM_KERNEL=scalar timeout 300 cargo test -q -p crossbow-tensor -p crossbow-nn
+CROSSBOW_GEMM_KERNEL=avx2 timeout 300 cargo test -q -p crossbow-tensor -p crossbow-nn
+
 echo "== distributed socket tests (wall-clock bounded) =="
 # The multi-process crash-recovery suite talks over real TCP sockets and
 # SIGKILLs worker processes; a wedged accept or a leaked child must be

@@ -281,8 +281,10 @@ pub fn train_concurrent(
     let arena_bytes_gauge = telemetry.metrics.gauge("memory.arena_bytes");
     let arena_reuse_gauge = telemetry.metrics.gauge("memory.arena_reuse");
     let arena_alloc_counter = telemetry.metrics.counter("memory.arena_alloc");
-    // Per-lane return channels: the manager hands drained correction
-    // buffers back so the learner/manager loop is allocation-free in the
+    let correction_alloc_counter = telemetry.metrics.counter("memory.correction_alloc");
+    // Per-lane return channels: the manager hands every correction buffer
+    // back to the lane that sent it, so each lane gets one buffer back per
+    // buffer sent and the learner/manager loop is allocation-free in the
     // steady state.
     let (return_txs, mut return_rxs): (Vec<_>, Vec<_>) = (0..k)
         .map(|_| std::sync::mpsc::channel::<Vec<f32>>())
@@ -299,6 +301,7 @@ pub fn train_concurrent(
             let arena_bytes_gauge = Arc::clone(&arena_bytes_gauge);
             let arena_reuse_gauge = Arc::clone(&arena_reuse_gauge);
             let arena_alloc_counter = Arc::clone(&arena_alloc_counter);
+            let correction_alloc_counter = Arc::clone(&correction_alloc_counter);
             scope.spawn(move || {
                 let mut shard = recorder.shard();
                 let lane = j as u32;
@@ -371,7 +374,10 @@ pub fn train_concurrent(
                         epoch,
                     })
                     .expect("manager alive");
-                    correction = return_rx.try_recv().unwrap_or_else(|_| vec![0.0f32; plen]);
+                    correction = return_rx.try_recv().unwrap_or_else(|_| {
+                        correction_alloc_counter.inc();
+                        vec![0.0f32; plen]
+                    });
                 }
                 let stats = scratch.workspace_stats();
                 arena_bytes_gauge.set(stats.high_water as u64);
@@ -399,7 +405,10 @@ pub fn train_concurrent(
         let mut z = init;
         let mut z_prev = init_prev;
         let mut median5 = WindowedMedian::new(5);
-        let mut pending: std::collections::BTreeMap<u64, (usize, Vec<f32>, usize)> =
+        // Per iteration: arrivals so far, the accumulator (the first
+        // arrival's buffer), the latest epoch seen, and the first
+        // arrival's lane, which gets the accumulator back.
+        let mut pending: std::collections::BTreeMap<u64, (usize, Vec<f32>, usize, usize)> =
             std::collections::BTreeMap::new();
         let mut next_iteration = 0u64;
         let mut current_epoch = 0usize;
@@ -412,7 +421,7 @@ pub fn train_concurrent(
         'manager: while let Ok(msg) = rx.recv() {
             let entry = pending
                 .entry(msg.iteration)
-                .or_insert_with(|| (0, Vec::new(), 0));
+                .or_insert_with(|| (0, Vec::new(), 0, msg.lane));
             entry.0 += 1;
             if entry.1.is_empty() {
                 // First arrival: its buffer becomes the accumulator.
@@ -425,9 +434,10 @@ pub fn train_concurrent(
             // Apply ready iterations in order.
             while pending
                 .get(&next_iteration)
-                .is_some_and(|(count, _, _)| *count == k)
+                .is_some_and(|(count, _, _, _)| *count == k)
             {
-                let (_, sum_c, epoch) = pending.remove(&next_iteration).expect("checked");
+                let (_, sum_c, epoch, first_lane) =
+                    pending.remove(&next_iteration).expect("checked");
                 // Global synchronisation: z += Σc + µ(z − z_prev).
                 let t_sync = shard.now_ns();
                 for ((zi, zpi), &ci) in z.iter_mut().zip(z_prev.iter_mut()).zip(&sum_c) {
@@ -435,8 +445,8 @@ pub fn train_concurrent(
                     *zi = old + ci + momentum * (old - *zpi);
                     *zpi = old;
                 }
-                // Return the drained accumulator to a lane (round-robin).
-                let _ = return_txs[(next_iteration as usize) % k].send(sum_c);
+                // Return the drained accumulator to the lane it came from.
+                let _ = return_txs[first_lane].send(sum_c);
                 // Publish from recycled snapshot storage when available.
                 let mut published = snapshot_pool.pop().unwrap_or_default();
                 published.clear();
@@ -685,6 +695,30 @@ mod tests {
             short, long,
             "fresh arena allocations must not scale with iteration count"
         );
+    }
+
+    #[test]
+    fn correction_buffers_return_to_their_lane() {
+        // Each lane gets back one correction buffer per buffer it sends,
+        // the manager's accumulator included, so a lane allocates only
+        // while its first buffer is still in flight. A buffer sent to the
+        // wrong lane piles up there and the other lane allocates a fresh
+        // one for every miss, growing with the run.
+        let (net, train_set, test_set) = setup();
+        for learners in [2, 3] {
+            let telemetry = Telemetry::disabled();
+            let mut cfg = CpuEngineConfig::new(learners, 8);
+            cfg.max_epochs = 12;
+            cfg.telemetry = Some(telemetry.clone());
+            let report = train_concurrent(&net, &train_set, &test_set, &cfg).expect("run");
+            assert!(report.iterations >= 200, "{}", report.iterations);
+            let fresh = telemetry.metrics.counter("memory.correction_alloc").get();
+            assert!(
+                fresh <= 2 * learners as u64,
+                "{fresh} fresh correction buffers over {} iterations on {learners} lanes",
+                report.iterations
+            );
+        }
     }
 
     #[test]

@@ -32,8 +32,22 @@
 //! packed `B` strip across all `mr`-row strips, with unit-stride loads.
 //!
 //! The same micro-kernel serves the transposed variants: packing reads
-//! through a generic `(row stride, col stride)` view, so `A^T` and `B^T`
-//! never materialise.
+//! through a `(row stride, col stride)` view, so `A^T` and `B^T` never
+//! materialise. Every view has a unit stride along one axis (the packer
+//! asserts it), and each axis has its own packing path:
+//!
+//! * unit stride along the tile axis (`B` in [`gemm`]/[`gemm_at`], `A^T`
+//!   in [`gemm_at`]): one slice copy per `p`, pad lanes zeroed;
+//! * unit stride along `p` (row-major `A`, `B^T` in [`gemm_bt`] — the
+//!   dense forward `x @ W^T` and the conv weight gradient): a block
+//!   transpose, 8x8 in registers on the SIMD tiers and a scalar loop over
+//!   contiguous source lines on [`GemmKernel::Scalar`]; the thread's
+//!   active tier picks it.
+//!
+//! Packing only moves values into the tile layout the micro-kernel reads,
+//! and every path writes every element of its tile (pad lanes are zero),
+//! so the result is bit-identical to packing element by element — the
+//! tests keep that per-element packer as their oracle.
 //!
 //! A [`PackedRhs`] holds every `KC` block of `B` in exactly the tile
 //! layout the loop nest packs per call, for one kernel's `nr`. The loop
@@ -46,11 +60,13 @@
 //! Three micro-kernel variants share the loop nest, selected once per
 //! process by [`GemmKernel::detected`] from runtime CPU features:
 //!
-//! | kernel            | tile (`mr x nr`) | requires    |
-//! |-------------------|------------------|-------------|
-//! | [`GemmKernel::Scalar`] | 4 x 8       | —           |
-//! | [`GemmKernel::Avx2`]   | 6 x 16      | AVX2        |
-//! | [`GemmKernel::Avx512`] | 8 x 16      | AVX-512F    |
+//! | kernel                 | tile (`mr x nr`) | requires       |
+//! |------------------------|------------------|----------------|
+//! | [`GemmKernel::Scalar`] | 4 x 8            | —              |
+//! | [`GemmKernel::Avx2`]   | 6 x 16           | AVX2           |
+//! | [`GemmKernel::Avx512`] | 8 x 16           | AVX-512F, AVX2 |
+//!
+//! (The AVX-512 tier packs with the AVX2 transposer.)
 //!
 //! The SIMD kernels deliberately use *separate* vector multiply and add
 //! (`vmulps` + `vaddps`), **not** FMA: a fused multiply-add does not
@@ -138,7 +154,11 @@ impl GemmKernel {
             #[cfg(target_arch = "x86_64")]
             GemmKernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            GemmKernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            GemmKernel::Avx512 => {
+                // The tier packs with the AVX2 transposer.
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx2")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -256,9 +276,20 @@ struct View<'a> {
 }
 
 impl<'a> View<'a> {
+    /// One bounds-checked element: for the direct kernel's `A` reads and
+    /// the tests' per-element packers, never for packing.
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
+    }
+
+    /// The transpose, as a view of the same data.
+    fn t(self) -> View<'a> {
+        View {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
     }
 }
 
@@ -289,57 +320,174 @@ pub fn gemm_naive(
     }
 }
 
-/// Packs an `rows_total x kc` sub-panel of `a` (rows `i0..i0+rows_total`,
-/// k `p0..p0+kc`) into `mr`-row tiles: tile-major, then `p`-major, then
-/// row within tile. Rows past the panel are zero-filled so the
-/// micro-kernel never branches.
-fn pack_a(
-    a: View<'_>,
-    i0: usize,
+/// Packs rows `r0..r0+rows_total`, columns `p0..p0+kc` of `v` into
+/// `w`-row tiles: tile-major, then `p`-major, then row within tile; rows
+/// past the panel are zero-filled so the micro-kernel never branches.
+/// This is `A`'s panel as is and `B`'s as [`View::t`] (`B`'s tiles run
+/// along its columns). Every element of `out[..tiles * kc * w]` is
+/// written, so `out` may start as garbage.
+///
+/// A unit stride along the tile axis (`rs == 1`: `B`, `A^T`) is a slice
+/// copy per `p`; a unit stride along `p` (`cs == 1`: row-major `A`,
+/// `B^T`) is a block transpose on `isa`, which must be
+/// [supported](GemmKernel::supported).
+///
+/// # Panics
+/// Panics when `v` has no unit stride, or `out` or `v` is too short for
+/// the panel.
+#[allow(clippy::too_many_arguments)]
+fn pack(
+    isa: GemmKernel,
+    v: View<'_>,
+    r0: usize,
     rows_total: usize,
     p0: usize,
     kc: usize,
-    mr: usize,
+    w: usize,
     out: &mut [f32],
 ) {
-    let tiles = rows_total.div_ceil(mr);
-    for t in 0..tiles {
-        let base = t * kc * mr;
-        let row0 = i0 + t * mr;
-        let rows = mr.min(i0 + rows_total - row0);
-        for p in 0..kc {
-            let dst = &mut out[base + p * mr..base + p * mr + mr];
-            for (r, d) in dst.iter_mut().enumerate() {
-                *d = if r < rows {
-                    a.at(row0 + r, p0 + p)
-                } else {
-                    0.0
-                };
+    assert!(v.rs == 1 || v.cs == 1, "packing needs a unit stride");
+    let tiles = rows_total.div_ceil(w);
+    for (t, dst) in out[..tiles * kc * w].chunks_exact_mut(kc * w).enumerate() {
+        let row0 = r0 + t * w;
+        let lanes = w.min(r0 + rows_total - row0);
+        let src = &v.data[row0 * v.rs + p0 * v.cs..];
+        if v.rs == 1 {
+            for (p, d) in dst.chunks_exact_mut(w).enumerate() {
+                let (live, pad) = d.split_at_mut(lanes);
+                live.copy_from_slice(&src[p * v.cs..p * v.cs + lanes]);
+                pad.fill(0.0);
+            }
+            continue;
+        }
+        assert!(
+            src.len() >= (lanes - 1) * v.rs + kc,
+            "transposed tile out of bounds: {lanes} lines of {kc} at stride {}",
+            v.rs
+        );
+        match isa {
+            GemmKernel::Scalar => transpose_scalar(src, v.rs, lanes, kc, w, dst),
+            #[cfg(target_arch = "x86_64")]
+            GemmKernel::Avx2 | GemmKernel::Avx512 => {
+                // SAFETY: both SIMD tiers are only selected when
+                // `supported()` saw avx2 (the Avx512 tier checks it too).
+                // `1 <= lanes <= w`, `dst` is exactly `kc * w` long, and
+                // the assert above covers every source line.
+                unsafe { transpose_avx2(src, v.rs, lanes, kc, w, dst) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            GemmKernel::Avx2 | GemmKernel::Avx512 => {
+                unreachable!("SIMD kernels are never selected off x86-64")
             }
         }
     }
 }
 
-/// Packs a `kc x nc` sub-panel of `b` (k `p0..p0+kc`, cols `j0..j0+nc`)
-/// into `nr`-column tiles: tile-major, then `p`-major, then column within
-/// tile. Columns past `nc` are zero-filled.
-fn pack_b(b: View<'_>, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize, out: &mut [f32]) {
-    let tiles = nc.div_ceil(nr);
-    for t in 0..tiles {
-        let base = t * kc * nr;
-        let col0 = j0 + t * nr;
-        let cols = nr.min(j0 + nc - col0);
-        for p in 0..kc {
-            let dst = &mut out[base + p * nr..base + p * nr + nr];
-            for (cidx, d) in dst.iter_mut().enumerate() {
-                *d = if cidx < cols {
-                    b.at(p0 + p, col0 + cidx)
+/// The portable block transpose: `dst[p * w + l] = src[l * ld + p]` for
+/// `l < lanes`, zero for `lanes <= l < w`. Reads each source line
+/// contiguously and writes it down one strided column of the tile, so no
+/// index is bounds-checked inside the loops.
+fn transpose_scalar(src: &[f32], ld: usize, lanes: usize, kc: usize, w: usize, dst: &mut [f32]) {
+    let dst = &mut dst[..kc * w];
+    for l in 0..w {
+        let column = dst[l..].iter_mut().step_by(w);
+        if l < lanes {
+            for (d, &v) in column.zip(&src[l * ld..l * ld + kc]) {
+                *d = v;
+            }
+        } else {
+            column.for_each(|d| *d = 0.0);
+        }
+    }
+}
+
+/// The AVX2 block transpose: [`transpose_scalar`]'s result, built from
+/// 8x8 in-register transposes of 8 source lines by 8 `p`; the `kc % 8`
+/// trailing `p` go through [`transpose_scalar`]. Lines past `lanes` load
+/// as zero, so pad lanes come out zero; a tile narrower than 8 (`w = 6`
+/// for the AVX2 `A` tile) stores only its `w` lanes.
+///
+/// # Safety
+/// The CPU must support AVX2. `1 <= lanes <= w`, `src` must hold at least
+/// `(lanes - 1) * ld + kc` elements and `dst` at least `kc * w`: the loads
+/// read `src[l * ld + p .. l * ld + p + 8]` for `l < lanes`, `p + 8 <= kc`,
+/// and the stores write `dst[p * w + l0 .. p * w + l0 + min(8, w - l0)]`
+/// for `p < kc`, `l0 < w`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_avx2(
+    src: &[f32],
+    ld: usize,
+    lanes: usize,
+    kc: usize,
+    w: usize,
+    dst: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let kc8 = kc / 8 * 8;
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    for l0 in (0..w).step_by(8) {
+        let width = (w - l0).min(8);
+        let live = lanes.saturating_sub(l0).min(8);
+        for p in (0..kc8).step_by(8) {
+            let mut r = [_mm256_setzero_ps(); 8];
+            for (q, rq) in r.iter_mut().enumerate().take(live) {
+                *rq = _mm256_loadu_ps(sp.add((l0 + q) * ld + p));
+            }
+            for (q, tq) in transpose8x8(r).iter().enumerate() {
+                let d = dp.add((p + q) * w + l0);
+                if width == 8 {
+                    _mm256_storeu_ps(d, *tq);
                 } else {
-                    0.0
-                };
+                    let mut spill = [0.0f32; 8];
+                    _mm256_storeu_ps(spill.as_mut_ptr(), *tq);
+                    std::ptr::copy_nonoverlapping(spill.as_ptr(), d, width);
+                }
             }
         }
     }
+    if kc8 < kc {
+        transpose_scalar(&src[kc8..], ld, lanes, kc - kc8, w, &mut dst[kc8 * w..]);
+    }
+}
+
+/// Transposes eight 8-lane rows: lane `j` of output `i` is lane `i` of
+/// input `j`.
+///
+/// # Safety
+/// The CPU must support AVX (implied by AVX2).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn transpose8x8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    // Interleave pairs of rows, then pairs of pairs, then 128-bit halves.
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(u0, u4),
+        _mm256_permute2f128_ps::<0x20>(u1, u5),
+        _mm256_permute2f128_ps::<0x20>(u2, u6),
+        _mm256_permute2f128_ps::<0x20>(u3, u7),
+        _mm256_permute2f128_ps::<0x31>(u0, u4),
+        _mm256_permute2f128_ps::<0x31>(u1, u5),
+        _mm256_permute2f128_ps::<0x31>(u2, u6),
+        _mm256_permute2f128_ps::<0x31>(u3, u7),
+    ]
 }
 
 /// A right-hand operand packed once: the weight matrix `W: n x k` of
@@ -360,7 +508,7 @@ pub struct PackedRhs {
 impl PackedRhs {
     /// Packs `w` (`n x k`, row-major) for `kernel`'s tile width. Packing
     /// only moves data, so an operand can be packed for any tier on any
-    /// CPU.
+    /// CPU: the thread's active tier does the moving.
     ///
     /// # Panics
     /// Panics if `w.len() != n * k`.
@@ -369,23 +517,16 @@ impl PackedRhs {
         let nr = kernel.nr();
         let stride = n.div_ceil(nr) * nr;
         let mut data = vec![0.0; k * stride];
-        // Logical B is k x n; element (p, j) of W^T lives at w[j * k + p].
+        // B = W^T tiles along its columns, the rows of W.
         let view = View {
             data: w,
-            rs: 1,
-            cs: k,
+            rs: k,
+            cs: 1,
         };
         for p0 in (0..k).step_by(KC) {
             let kc = KC.min(k - p0);
-            pack_b(
-                view,
-                p0,
-                kc,
-                0,
-                n,
-                nr,
-                &mut data[p0 * stride..(p0 + kc) * stride],
-            );
+            let block = &mut data[p0 * stride..(p0 + kc) * stride];
+            pack(GemmKernel::active(), view, 0, n, p0, kc, nr, block);
         }
         PackedRhs { n, k, nr, data }
     }
@@ -488,7 +629,13 @@ fn micro_scalar(
 /// per-element operation sequence identical to [`micro_scalar`].
 ///
 /// # Safety
-/// The caller must have verified AVX2 support (kernel dispatch does).
+/// The CPU must support AVX2. The pointer reads need
+/// `a_tile.len() >= kc * 6` and `b_tile.len() >= kc * 16`. A full tile
+/// (`rows == 6`, `cols == 16`) is written through a pointer to the 16
+/// elements at `c[(c_row0 + r) * n + c_col0]` for each `r < 6`, so it
+/// needs `c_col0 + 16 <= n` and `(c_row0 + 6) * n <= c.len()`; a partial
+/// tile goes through bounds-checked slices. [`micro_tile`] asserts all of
+/// these.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -507,7 +654,6 @@ unsafe fn micro_avx2(
     use std::arch::x86_64::*;
     const KMR: usize = 6;
     const KNR: usize = 16;
-    debug_assert!(a_tile.len() >= kc * KMR && b_tile.len() >= kc * KNR);
     let mut acc = [[_mm256_setzero_ps(); 2]; KMR];
     let mut ap = a_tile.as_ptr();
     let mut bp = b_tile.as_ptr();
@@ -551,7 +697,13 @@ unsafe fn micro_avx2(
 /// sequence identical to [`micro_scalar`].
 ///
 /// # Safety
-/// The caller must have verified AVX-512F support (kernel dispatch does).
+/// The CPU must support AVX-512F. The pointer reads need
+/// `a_tile.len() >= kc * 8` and `b_tile.len() >= kc * 16`. A full tile
+/// (`rows == 8`, `cols == 16`) is written through a pointer to the 16
+/// elements at `c[(c_row0 + r) * n + c_col0]` for each `r < 8`, so it
+/// needs `c_col0 + 16 <= n` and `(c_row0 + 8) * n <= c.len()`; a partial
+/// tile goes through bounds-checked slices. [`micro_tile`] asserts all of
+/// these.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -570,7 +722,6 @@ unsafe fn micro_avx512(
     use std::arch::x86_64::*;
     const KMR: usize = 8;
     const KNR: usize = 16;
-    debug_assert!(a_tile.len() >= kc * KMR && b_tile.len() >= kc * KNR);
     let mut acc = [_mm512_setzero_ps(); KMR];
     let mut ap = a_tile.as_ptr();
     let mut bp = b_tile.as_ptr();
@@ -601,7 +752,9 @@ unsafe fn micro_avx512(
     }
 }
 
-/// Dispatches one micro-tile to the selected kernel.
+/// Dispatches one micro-tile to the selected kernel, which must be
+/// [supported](GemmKernel::supported). Asserts the slice extents the SIMD
+/// kernels' pointers rely on, once per tile.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn micro_tile(
@@ -617,6 +770,16 @@ fn micro_tile(
     rows: usize,
     cols: usize,
 ) {
+    let (mr, nr) = (kernel.mr(), kernel.nr());
+    assert!(
+        rows <= mr
+            && cols <= nr
+            && a_tile.len() >= kc * mr
+            && b_tile.len() >= kc * nr
+            && c_col0 + cols <= n
+            && (c_row0 + rows) * n <= c.len(),
+        "micro-tile out of bounds: rows {rows} cols {cols} at ({c_row0}, {c_col0})"
+    );
     match kernel {
         GemmKernel::Scalar => {
             micro_scalar(kc, alpha, a_tile, b_tile, c, c_row0, c_col0, n, rows, cols)
@@ -624,13 +787,13 @@ fn micro_tile(
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Avx2 => {
             // SAFETY: dispatch only selects Avx2 when `supported()` saw
-            // the avx2 CPU feature.
+            // the avx2 CPU feature; the assert above proves the extents.
             unsafe { micro_avx2(kc, alpha, a_tile, b_tile, c, c_row0, c_col0, n, rows, cols) }
         }
         #[cfg(target_arch = "x86_64")]
         GemmKernel::Avx512 => {
             // SAFETY: dispatch only selects Avx512 when `supported()` saw
-            // the avx512f CPU feature.
+            // the avx512f CPU feature; the assert above proves the extents.
             unsafe { micro_avx512(kc, alpha, a_tile, b_tile, c, c_row0, c_col0, n, rows, cols) }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -699,14 +862,14 @@ fn packed_serial_into(
         let kc = KC.min(k - p0);
         let b_pack: &[f32] = match &mut b {
             Rhs::Pack(view, buf) => {
-                pack_b(*view, p0, kc, 0, n, nr, buf);
+                pack(kernel, view.t(), 0, n, p0, kc, nr, buf);
                 buf
             }
             Rhs::Packed(packed) => packed.block(p0, kc),
         };
         for i0 in (0..m).step_by(mc_step) {
             let mc = mc_step.min(m - i0);
-            pack_a(a, i0, mc, p0, kc, mr, a_pack);
+            pack(kernel, a, i0, mc, p0, kc, mr, a_pack);
             for jt in 0..n.div_ceil(nr) {
                 let j0 = jt * nr;
                 let cols = nr.min(n - j0);
@@ -1362,6 +1525,150 @@ mod tests {
                 &mut Workspace::new(),
             )
         });
+    }
+
+    /// The per-element `A` packer the fast paths replaced: the reference
+    /// layout, read through `View::at` for any strides.
+    fn pack_a_oracle(
+        a: View<'_>,
+        i0: usize,
+        rows_total: usize,
+        p0: usize,
+        kc: usize,
+        mr: usize,
+    ) -> Vec<f32> {
+        let tiles = rows_total.div_ceil(mr);
+        let mut out = vec![0.0; tiles * kc * mr];
+        for t in 0..tiles {
+            let row0 = i0 + t * mr;
+            let rows = mr.min(i0 + rows_total - row0);
+            for p in 0..kc {
+                for r in 0..rows {
+                    out[t * kc * mr + p * mr + r] = a.at(row0 + r, p0 + p);
+                }
+            }
+        }
+        out
+    }
+
+    /// The per-element `B` packer the fast paths replaced.
+    fn pack_b_oracle(
+        b: View<'_>,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        nc: usize,
+        nr: usize,
+    ) -> Vec<f32> {
+        let tiles = nc.div_ceil(nr);
+        let mut out = vec![0.0; tiles * kc * nr];
+        for t in 0..tiles {
+            let col0 = j0 + t * nr;
+            let cols = nr.min(j0 + nc - col0);
+            for p in 0..kc {
+                for c in 0..cols {
+                    out[t * kc * nr + p * nr + c] = b.at(p0 + p, col0 + c);
+                }
+            }
+        }
+        out
+    }
+
+    /// The packer equals the per-element oracle bit for bit, for `A` and
+    /// `B`, in both layouts (unit stride along the tile axis and along
+    /// `p`), on every supported tier: ragged tiles, `kc` off multiples of
+    /// 8, non-zero offsets, panels narrower than one tile. The destination starts as
+    /// NaN (the workspace hands packing buffers out unzeroed), so a pad
+    /// lane left unwritten fails.
+    #[test]
+    fn packing_matches_the_per_element_oracle_on_every_tier() {
+        let mut rng = Rng::new(35);
+        for isa in supported_kernels() {
+            for trial in 0..120 {
+                let (mr, nr) = (isa.mr(), isa.nr());
+                let kc = 1 + rng.below(40);
+                let p0 = rng.below(5);
+                let k = p0 + kc + rng.below(3);
+                let lanes_total = 1 + rng.below(3 * nr);
+                let off = rng.below(6);
+                let extent = off + lanes_total + rng.below(3);
+                let data: Vec<f32> = (0..k * extent).map(|_| rng.normal()).collect();
+                // `extent x k` row-major holds a unit stride along `p`;
+                // the same buffer read as `k x extent` holds it along the
+                // tile axis.
+                let along_p = View {
+                    data: &data,
+                    rs: k,
+                    cs: 1,
+                };
+                let along_tile = View {
+                    data: &data,
+                    rs: 1,
+                    cs: extent,
+                };
+                for (layout, a) in [("A", along_p), ("A^T", along_tile)] {
+                    let rows = lanes_total.min(2 * mr + 1);
+                    let want = pack_a_oracle(a, off, rows, p0, kc, mr);
+                    let mut got = vec![f32::NAN; want.len()];
+                    pack(isa, a, off, rows, p0, kc, mr, &mut got);
+                    assert_eq!(
+                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "{isa} {layout} trial {trial} kc={kc} p0={p0} i0={off}"
+                    );
+                }
+                let b_rows = View {
+                    data: &data,
+                    rs: extent,
+                    cs: 1,
+                };
+                let b_t = View {
+                    data: &data,
+                    rs: 1,
+                    cs: k,
+                };
+                for (layout, b) in [("B", b_rows), ("B^T", b_t)] {
+                    let want = pack_b_oracle(b, p0, kc, off, lanes_total, nr);
+                    let mut got = vec![f32::NAN; want.len()];
+                    pack(isa, b.t(), off, lanes_total, p0, kc, nr, &mut got);
+                    assert_eq!(
+                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "{isa} {layout} trial {trial} kc={kc} p0={p0} j0={off} n={lanes_total}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `PackedRhs::pack_bt` lays every `KC` block out as the oracle packs
+    /// `W^T`, for each tile width, whichever supported tier moves the
+    /// data.
+    #[test]
+    fn pack_bt_lays_out_every_block_as_the_oracle() {
+        let mut rng = Rng::new(36);
+        for &(n, k) in &[(1usize, 1usize), (5, 7), (16, 256), (33, 300), (130, 513)] {
+            let w: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect();
+            let view = View {
+                data: &w,
+                rs: 1,
+                cs: k,
+            };
+            for tiles_for in GemmKernel::all() {
+                let nr = tiles_for.nr();
+                let mut want = Vec::new();
+                for p0 in (0..k).step_by(KC) {
+                    want.extend(pack_b_oracle(view, p0, KC.min(k - p0), 0, n, nr));
+                }
+                for isa in supported_kernels() {
+                    let packed = with_kernel(isa, || PackedRhs::pack_bt(&w, n, k, tiles_for));
+                    assert_eq!(
+                        packed.data, want,
+                        "{isa} packing for {tiles_for} n={n} k={k}"
+                    );
+                }
+            }
+        }
     }
 
     /// Satellite: forcing the scalar fallback must reproduce the default
