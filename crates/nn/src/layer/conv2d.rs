@@ -4,7 +4,7 @@
 
 use super::{stash_copy, Layer, Slot};
 use crate::init::Init;
-use crossbow_tensor::conv::{col2im, im2col, ConvGeom};
+use crossbow_tensor::conv::{col2im_ws, im2col_ws, ConvGeom};
 use crossbow_tensor::gemm::{gemm_at_ws, gemm_bt_ws, gemm_ws};
 use crossbow_tensor::{Rng, Shape, Tensor, Workspace};
 
@@ -122,7 +122,7 @@ impl Layer for Conv2d {
         let out_len = self.c_out * out_h * out_w;
         for n in 0..batch {
             let image = &input.data()[n * in_len..(n + 1) * in_len];
-            im2col(&g, image, &mut col);
+            im2col_ws(&g, image, &mut col, ws);
             let out_image = &mut out.data_mut()[n * out_len..(n + 1) * out_len];
             // out = W (c_out x rows) @ col (rows x cols)
             gemm_ws(self.c_out, rows, cols, 1.0, w, &col, 0.0, out_image, ws);
@@ -164,7 +164,7 @@ impl Layer for Conv2d {
             let image = &input.data()[n * in_len..(n + 1) * in_len];
             let dout = &grad_output.data()[n * out_len..(n + 1) * out_len];
             // dW += dOut (c_out x cols) @ col^T
-            im2col(&g, image, &mut col);
+            im2col_ws(&g, image, &mut col, ws);
             gemm_bt_ws(self.c_out, cols, rows, 1.0, dout, &col, 1.0, gw, ws);
             // db += row sums of dOut per channel
             for (c, plane) in dout.chunks_exact(cols).enumerate() {
@@ -173,7 +173,7 @@ impl Layer for Conv2d {
             // dCol = W^T @ dOut, then scatter to dInput
             gemm_at_ws(rows, self.c_out, cols, 1.0, w, dout, 0.0, &mut dcol, ws);
             let dimage = &mut grad_in.data_mut()[n * in_len..(n + 1) * in_len];
-            col2im(&g, &dcol, dimage);
+            col2im_ws(&g, &dcol, dimage, ws);
         }
         ws.give(col);
         ws.give(dcol);
@@ -188,8 +188,9 @@ impl Layer for Conv2d {
 
     fn scratch_len(&self, input: &Shape, batch: usize) -> usize {
         let g = self.geom(input);
-        // col + dcol during backward, plus the stashed input copy.
-        2 * g.col_len() + batch * g.image_len()
+        // col + dcol during backward, the zero-padded plane im2col and
+        // col2im check out, plus the stashed input copy.
+        2 * g.col_len() + g.plane_len() + batch * g.image_len()
     }
 
     fn op_count(&self) -> usize {

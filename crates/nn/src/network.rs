@@ -420,6 +420,7 @@ mod tests {
     use super::*;
     use crate::layer::{Dense, Relu};
     use crate::loss::softmax_cross_entropy;
+    use crossbow_tensor::gemm::{with_kernel, GemmKernel};
 
     fn tiny_net() -> Network {
         Network::builder([4])
@@ -566,28 +567,72 @@ mod tests {
         }
     }
 
+    /// A small 1x8x8 net at b = 2, and `train_conv`'s shape: 3x16x16
+    /// input at b = 16 through stride-2 blocks, whose padded im2col
+    /// planes come from the arena too.
     #[test]
     fn training_steps_are_allocation_flat_after_warmup() {
-        let net = crate::zoo::resnet_small(1, 8, 4);
-        let mut rng = Rng::new(12);
+        for (in_c, hw, classes, b) in [(1usize, 8usize, 4usize, 2usize), (3, 16, 10, 16)] {
+            let net = crate::zoo::resnet_small(in_c, hw, classes);
+            let mut rng = Rng::new(12);
+            let params = net.init_params(&mut rng);
+            let batch = Tensor::randn([b, in_c, hw, hw], 1.0, &mut rng);
+            let labels: Vec<usize> = (0..b).map(|i| (3 * i) % classes).collect();
+            let mut grad = vec![0.0f32; net.param_len()];
+            let mut scratch = net.scratch();
+            // Two warm-up iterations populate every bucket the step needs.
+            for _ in 0..2 {
+                net.loss_and_grad(&params, &batch, &labels, &mut grad, &mut scratch);
+            }
+            let after_warmup = scratch.fresh_allocs();
+            for _ in 0..5 {
+                net.loss_and_grad(&params, &batch, &labels, &mut grad, &mut scratch);
+            }
+            assert_eq!(
+                scratch.fresh_allocs(),
+                after_warmup,
+                "{in_c}x{hw}x{hw} at b = {b}: the hot path must perform zero fresh arena \
+                 allocations after warm-up"
+            );
+        }
+    }
+
+    /// FNV-1a over the bits of the loss and of every gradient element.
+    fn gradient_checksum(loss: f32, grad: &[f32]) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in std::iter::once(loss).chain(grad.iter().copied()) {
+            for byte in v.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// The whole conv forward and backward of `train_conv`'s network at
+    /// its batch size, pinned bit for bit on every supported GEMM tier:
+    /// a change to the conv lowering or to the GEMM path a shape takes
+    /// must leave every gradient bit where it was. A second step on the
+    /// same scratch (warm arena, stale buffers) must agree too.
+    #[test]
+    fn resnet_small_gradient_bits_are_pinned_on_every_tier() {
+        const PINNED: u64 = 0x70ee_608b_3c1f_e38a;
+        let net = crate::zoo::resnet_small(3, 16, 10);
+        let mut rng = Rng::new(36);
         let params = net.init_params(&mut rng);
-        let batch = Tensor::randn([2, 1, 8, 8], 1.0, &mut rng);
-        let labels = [0usize, 3];
-        let mut grad = vec![0.0f32; net.param_len()];
-        let mut scratch = net.scratch();
-        // Two warm-up iterations populate every bucket the step needs.
-        for _ in 0..2 {
-            net.loss_and_grad(&params, &batch, &labels, &mut grad, &mut scratch);
+        let batch = Tensor::randn([16, 3, 16, 16], 1.0, &mut rng);
+        let labels: Vec<usize> = (0..16).map(|i| (7 * i) % 10).collect();
+        for kernel in GemmKernel::all().into_iter().filter(|k| k.supported()) {
+            let sums = with_kernel(kernel, || {
+                let mut scratch = net.scratch();
+                let mut grad = vec![0.0f32; net.param_len()];
+                [0, 1].map(|_| {
+                    let (loss, _) =
+                        net.loss_and_grad(&params, &batch, &labels, &mut grad, &mut scratch);
+                    gradient_checksum(loss, &grad)
+                })
+            });
+            assert_eq!(sums, [PINNED; 2], "{kernel}: {:#018x}", sums[0]);
         }
-        let after_warmup = scratch.fresh_allocs();
-        for _ in 0..5 {
-            net.loss_and_grad(&params, &batch, &labels, &mut grad, &mut scratch);
-        }
-        assert_eq!(
-            scratch.fresh_allocs(),
-            after_warmup,
-            "hot path must perform zero fresh arena allocations after warm-up"
-        );
     }
 
     #[test]

@@ -28,6 +28,12 @@ mod sys {
     /// error (the caller falls back to positioned reads).
     pub(super) fn mmap_readonly(fd: i32, len: usize) -> Option<*const u8> {
         let ret: isize;
+        // SAFETY: the raw `mmap` syscall touches no memory of this
+        // process: it asks for a fresh read-only private mapping of `len`
+        // bytes of an open `fd` at an address the kernel picks (`rdi` =
+        // 0), so it cannot alias anything Rust owns. `rcx` and `r11`, which
+        // `syscall` clobbers, are declared, and no stack is used. A failure
+        // comes back as `-errno`, handled below.
         unsafe {
             std::arch::asm!(
                 "syscall",
@@ -53,6 +59,11 @@ mod sys {
 
     pub(super) fn munmap(ptr: *const u8, len: usize) {
         let ret: isize;
+        // SAFETY: called once, from `Mapping::drop`, with the `ptr` and
+        // `len` that `mmap_readonly` returned; no slice borrowed from the
+        // mapping outlives the `Mapping` (they borrow it), so nothing reads
+        // the pages after they are unmapped. Clobbers are declared as for
+        // `mmap`.
         unsafe {
             std::arch::asm!(
                 "syscall",
@@ -88,9 +99,17 @@ pub(crate) enum Mapping {
     },
 }
 
-// The mapping is immutable after open: the raw pointer is only ever read.
+// SAFETY: `ptr` names a read-only (`PROT_READ`), private mapping, never
+// written through, and owned by exactly one `Mapping`, which unmaps it
+// only on drop; moving that owner to another thread moves nothing the
+// pages depend on. The other fields (`len`, `Direct`'s `File`) are `Send`
+// themselves.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 unsafe impl Send for Mapping {}
+// SAFETY: every access through `&Mapping` to `ptr` is a read of
+// immutable pages, bounds-checked against the length captured at open;
+// concurrent reads of read-only memory cannot race. The other fields
+// (`len`, `Direct`'s `File`) are `Sync` themselves.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 unsafe impl Sync for Mapping {}
 
@@ -130,28 +149,35 @@ impl Mapping {
         }
     }
 
+    /// Fails with `UnexpectedEof` unless `[offset, offset + len)` lies
+    /// inside the file: `offset + len` must not overflow (`checked_add`)
+    /// and must be at most the length captured at open.
+    fn check_range(&self, offset: usize, len: usize) -> io::Result<()> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len() => Ok(()),
+            _ => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "read of {len} bytes at {offset} beyond file of {}",
+                    self.len()
+                ),
+            )),
+        }
+    }
+
     /// Reads `[offset, offset + dst.len())` into `dst`. Fails (rather
     /// than faulting) when the range leaves the file.
     pub(crate) fn read_into(&self, offset: usize, dst: &mut [u8]) -> io::Result<()> {
-        let end = offset
-            .checked_add(dst.len())
-            .filter(|&e| e <= self.len())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "read of {} bytes at {} beyond file of {}",
-                        dst.len(),
-                        offset,
-                        self.len()
-                    ),
-                )
-            })?;
-        let _ = end;
+        self.check_range(offset, dst.len())?;
         match self {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Mapping::Mapped { ptr, .. } => {
-                // In bounds by the check above; the mapping is immutable.
+                // SAFETY: `check_range` proved `offset + dst.len()` does not
+                // overflow and is at most `len`, the file length captured
+                // at open and mapped whole, so the source range lies inside
+                // the mapping. Sealed shard files are never truncated in
+                // place, so those pages stay backed. `dst` is a distinct
+                // `&mut` buffer, so the ranges cannot overlap.
                 unsafe {
                     std::ptr::copy_nonoverlapping(ptr.add(offset), dst.as_mut_ptr(), dst.len());
                 }
@@ -165,23 +191,24 @@ impl Mapping {
     }
 
     /// Borrowed view of `[offset, offset + len)`: the mapped bytes when
-    /// this is an `mmap`, else a read into `scratch`. Bounds-checked.
+    /// this is an `mmap`, else a read into `scratch`. Bounds-checked before
+    /// anything is read or allocated.
     pub(crate) fn bytes<'a>(
         &'a self,
         offset: usize,
         len: usize,
         scratch: &'a mut Vec<u8>,
     ) -> io::Result<&'a [u8]> {
+        self.check_range(offset, len)?;
         match self {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Mapping::Mapped { ptr, len: mapped } => {
-                if offset.checked_add(len).map_or(true, |e| e > *mapped) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("range {offset}+{len} beyond file of {mapped}"),
-                    ));
-                }
-                // In bounds by the check above; the mapping is immutable.
+            Mapping::Mapped { ptr, .. } => {
+                // SAFETY: `check_range` proved `offset + len` does not
+                // overflow and is at most the file length captured at open
+                // and mapped whole, so the slice lies inside the mapping.
+                // Sealed shard files are never truncated in place and
+                // nothing writes the read-only pages, so the bytes stay
+                // valid and unchanged for the borrow of `self`.
                 Ok(unsafe { std::slice::from_raw_parts(ptr.add(offset), len) })
             }
             Mapping::Direct { .. } => {
@@ -241,12 +268,70 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// An empty file takes the `Direct` fallback (a zero-length `mmap`
+    /// is an error), and still answers reads by the same bounds: an empty
+    /// read at the end succeeds, a one-byte read fails with
+    /// `UnexpectedEof`.
     #[test]
     fn empty_files_fall_back_to_direct() {
         let path = scratch_file("empty", &[]);
         let map = Mapping::open(&path).expect("open");
         assert_eq!(map.len(), 0);
         assert!(!map.is_mmap());
+        assert!(matches!(map, Mapping::Direct { len: 0, .. }));
+        map.read_into(0, &mut []).expect("an empty read at the end");
+        let mut sc = Vec::new();
+        assert_eq!(map.bytes(0, 0, &mut sc).expect("empty view"), &[] as &[u8]);
+        let err = map.read_into(0, &mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // The range is checked before the fallback sizes its scratch
+        // buffer, so a huge length is an error, not an allocation.
+        let err = map.bytes(1, usize::MAX - 1, &mut sc).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(sc.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A read that ends exactly at the last byte is in bounds, through
+    /// both entry points; one byte further is not.
+    #[test]
+    fn a_read_ending_exactly_at_the_end_succeeds() {
+        let data: Vec<u8> = (0..100u8).collect();
+        let path = scratch_file("exact-end", &data);
+        let map = Mapping::open(&path).expect("open");
+        let mut buf = [0u8; 10];
+        map.read_into(90, &mut buf).expect("read to the end");
+        assert_eq!(&buf[..], &data[90..]);
+        let mut sc = Vec::new();
+        assert_eq!(
+            map.bytes(90, 10, &mut sc).expect("view to the end"),
+            &data[90..]
+        );
+        assert_eq!(
+            map.bytes(100, 0, &mut sc).expect("empty view at the end"),
+            &[] as &[u8]
+        );
+        let err = map.read_into(91, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let err = map.bytes(91, 10, &mut sc).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `offset + len` overflowing `usize` is a typed `UnexpectedEof`
+    /// from both entry points, never a wrapped offset or a fault.
+    #[test]
+    fn an_overflowing_range_is_a_typed_eof() {
+        let path = scratch_file("overflow", &[9u8; 32]);
+        let map = Mapping::open(&path).expect("open");
+        let mut buf = [0u8; 8];
+        let err = map.read_into(usize::MAX - 3, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut sc = Vec::new();
+        for (offset, len) in [(usize::MAX, 1), (1, usize::MAX), (usize::MAX - 3, 8)] {
+            let err = map.bytes(offset, len, &mut sc).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{offset}+{len}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

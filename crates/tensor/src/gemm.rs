@@ -55,6 +55,20 @@
 //! its order are untouched, so the result is bit-identical to the
 //! unpacked entry point.
 //!
+//! # Direct kernel
+//!
+//! A small wide-output multiply (dense `B` rows, `n >= 128`, under
+//! 1 MFLOP) with fewer than 8 rows of `C` or at most 2 products per
+//! element skips packing and runs row axpys over `C` and `B` directly. A
+//! packed `B` panel serves `ceil(m / mr)` row strips, only one at `m < 8`
+//! on the widest tile; a packed micro-tile spreads its `C` write-back
+//! over `k` multiply-adds, only two at `k = 2`. Neither can pay for the
+//! packing, and these are the b = 2 dense input and weight gradients.
+//! Every other shape — the conv-lowered products included, which a sweep
+//! of every `gemm*` shape of the training workloads found 1.1–2x faster
+//! packed — takes the packed kernel. The rule reads only shape
+//! and layout, never the tier (see `use_direct`).
+//!
 //! # Kernel tiers
 //!
 //! Three micro-kernel variants share the loop nest, selected once per
@@ -117,9 +131,20 @@ const MC: usize = 64;
 /// [`gemm_parallel`]; below this, thread-spawn overhead dominates.
 const PARALLEL_MIN_FLOPS: usize = 4 << 20;
 
-/// Maximum FLOP count (2·m·k·n) served by the un-packed direct kernel
-/// (see `use_direct`). Kept well below [`PARALLEL_MIN_FLOPS`] so the
-/// direct path never overlaps the parallel one.
+/// Rows of `C` below which the un-packed direct kernel may serve a
+/// multiply (see `use_direct`): the widest tile is 8 rows, so a packed
+/// `B` panel feeds a single row strip and packing it is pure overhead.
+const DIRECT_MAX_M: usize = 8;
+
+/// Reduction length below which the direct kernel may serve a multiply
+/// of any row count (see `use_direct`): with one or two products per `C`
+/// element, each packed micro-tile reads and writes its `C` tile for two
+/// multiply-adds, and the direct kernel's row-order passes over `C` win.
+const DIRECT_MAX_K: usize = 3;
+
+/// Maximum FLOP count (2·m·k·n) served by the direct kernel. Kept well
+/// below [`PARALLEL_MIN_FLOPS`] so the direct path never overlaps the
+/// parallel one.
 const DIRECT_MAX_FLOPS: usize = 1 << 20;
 
 /// Minimum output width for the direct kernel: its row-axpy inner loop
@@ -906,24 +931,43 @@ fn apply_beta(beta: f32, c: &mut [f32]) {
     }
 }
 
-/// Whether the un-packed direct kernel should serve this multiply. The
-/// direct kernel needs dense `B` rows (`cs == 1`) and wins only on
-/// small, wide-output problems: its per-`(i, p)` scalar load amortises
-/// over a full `C` row, while packing cost amortises over `C`'s rows
-/// (`B` panels are reused `m/mr` times) and so dominates at small
-/// `m·k·n`. Measured on the conv-lowered shapes in this workspace the
-/// crossover sits near `n = 128` / 1 MFLOP. The predicate is a pure
-/// function of the problem shape and layout — never of thread counts or
-/// the kernel tier — so serial and parallel entry points always agree on
-/// the path taken and results stay bit-identical.
+/// Whether the un-packed direct kernel should serve this multiply: dense
+/// `B` rows (`cs == 1`); fewer than [`DIRECT_MAX_M`] rows of `C` or fewer
+/// than [`DIRECT_MAX_K`] products per element; and a small, wide-output
+/// problem (`n >= DIRECT_MIN_N`, under [`DIRECT_MAX_FLOPS`]).
+///
+/// Packing pays for itself through reuse. Each packed `B` panel serves
+/// `ceil(m / mr)` row strips: at `m < 8` only one on the widest tile, so
+/// packing `B` only adds a pass over it (the b = 2 dense `dX`, `m = 2`,
+/// runs about 2.5x faster direct). Each micro-tile's read and write of
+/// its `C` tile is spread over `k` multiply-adds: at `k <= 2` (the b = 2
+/// dense `dW`) that write-back, in tile order, costs more than the direct
+/// kernel's `k` row-order passes over `C` (packing them made a b = 2 MLP
+/// step 10–15% slower). Everywhere else a sweep of every
+/// `gemm*` shape the training workloads issue (on an AVX-512 host, each
+/// call timed alone) found the packed kernel faster, the conv-lowered
+/// shapes of a 16×16 stage by 1.1–2x.
+///
+/// The predicate is a pure function of the problem shape and layout —
+/// never of thread counts or the kernel tier — so serial and parallel
+/// entry points and every tier take the same path and results stay
+/// bit-identical. Moving a shape between the two kernels keeps its bits
+/// when `alpha == 1`, `C` starts as zero (`beta == 0`, or zero on entry)
+/// and `k <= KC`: both kernels then add each element's products onto
+/// zero in ascending `p`, with unfused multiply and add.
 fn use_direct(m: usize, k: usize, n: usize, b: View<'_>) -> bool {
-    b.cs == 1 && n >= DIRECT_MIN_N && 2 * m * k * n < DIRECT_MAX_FLOPS
+    b.cs == 1
+        && (m < DIRECT_MAX_M || k < DIRECT_MAX_K)
+        && n >= DIRECT_MIN_N
+        && 2 * m * k * n < DIRECT_MAX_FLOPS
 }
 
-/// Un-packed kernel for small wide-output problems, where packing
-/// overhead dominates: row-axpy accumulation over contiguous `C` and `B`
-/// rows (`use_direct` guarantees `b.cs == 1`). Deterministic: for each
-/// `C` element the `k` dimension is consumed in one ascending pass.
+/// Un-packed kernel for small wide-output problems with fewer than
+/// [`DIRECT_MAX_M`] rows of `C` or fewer than [`DIRECT_MAX_K`] products
+/// per element, where packing cannot pay for itself: row-axpy
+/// accumulation over contiguous `C` and `B` rows (`use_direct`
+/// guarantees `b.cs == 1`). Deterministic: for each `C` element the `k` dimension is
+/// consumed in one ascending pass.
 #[allow(clippy::too_many_arguments)]
 fn direct_serial(
     m: usize,
@@ -1669,6 +1713,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// How a training layer lays out its operands: `A @ B` (`gemm_ws`),
+    /// `A^T @ B` (`gemm_at_ws`) or `A @ B^T` (`gemm_bt_ws`).
+    #[derive(Clone, Copy, Debug)]
+    enum Layout {
+        Ab,
+        AtB,
+        ABt,
+    }
+
+    /// Every `gemm*` shape `(layout, m, k, n, beta)` the training
+    /// workloads issue, all at `alpha = 1`: the ResNet of `train_conv`
+    /// (b = 16 per learner, evaluated in chunks of 256 and 144), the MLP
+    /// of `train_smallbatch` (b = 2; 256 and 38) and the MLP of `dist_ps`
+    /// (b = 8; 50). `beta = 1` is a weight gradient accumulating into the
+    /// gradient `loss_and_grad` zeroes first. A conv `dW` accumulates
+    /// across a batch's samples, but as `A @ B^T` it never has dense `B`
+    /// rows, so it never reaches the direct kernel.
+    #[rustfmt::skip]
+    const WORKLOAD_SHAPES: &[(Layout, usize, usize, usize, f32)] = {
+        use Layout::*;
+        &[
+            // train_conv: conv forward, dX and dW, then the dense head.
+            (Ab, 8, 27, 256, 0.0), (AtB, 27, 8, 256, 0.0), (ABt, 8, 256, 27, 1.0),
+            (Ab, 8, 72, 256, 0.0), (AtB, 72, 8, 256, 0.0), (ABt, 8, 256, 72, 1.0),
+            (Ab, 16, 72, 64, 0.0), (AtB, 72, 16, 64, 0.0), (ABt, 16, 64, 72, 1.0),
+            (Ab, 16, 8, 64, 0.0), (AtB, 8, 16, 64, 0.0), (ABt, 16, 64, 8, 1.0),
+            (Ab, 16, 144, 64, 0.0), (AtB, 144, 16, 64, 0.0), (ABt, 16, 64, 144, 1.0),
+            (Ab, 32, 144, 16, 0.0), (AtB, 144, 32, 16, 0.0), (ABt, 32, 16, 144, 1.0),
+            (Ab, 32, 16, 16, 0.0), (AtB, 16, 32, 16, 0.0), (ABt, 32, 16, 16, 1.0),
+            (Ab, 32, 288, 16, 0.0), (AtB, 288, 32, 16, 0.0), (ABt, 32, 16, 288, 1.0),
+            (ABt, 16, 32, 10, 0.0), (AtB, 10, 16, 32, 1.0), (Ab, 16, 10, 32, 0.0),
+            (ABt, 144, 32, 10, 0.0), (ABt, 256, 32, 10, 0.0),
+            // train_smallbatch: 256 -> 256 -> 256 -> 10.
+            (ABt, 2, 256, 256, 0.0), (AtB, 256, 2, 256, 1.0), (Ab, 2, 256, 256, 0.0),
+            (ABt, 2, 256, 10, 0.0), (AtB, 10, 2, 256, 1.0), (Ab, 2, 10, 256, 0.0),
+            (ABt, 38, 256, 256, 0.0), (ABt, 38, 256, 10, 0.0),
+            (ABt, 256, 256, 256, 0.0), (ABt, 256, 256, 10, 0.0),
+            // dist_ps: 256 -> 1024 -> 256 -> 16.
+            (ABt, 8, 256, 1024, 0.0), (AtB, 1024, 8, 256, 1.0), (Ab, 8, 1024, 256, 0.0),
+            (ABt, 8, 1024, 256, 0.0), (AtB, 256, 8, 1024, 1.0), (Ab, 8, 256, 1024, 0.0),
+            (ABt, 8, 256, 16, 0.0), (AtB, 16, 8, 256, 1.0), (Ab, 8, 16, 256, 0.0),
+            (ABt, 50, 256, 1024, 0.0), (ABt, 50, 1024, 256, 0.0), (ABt, 50, 256, 16, 0.0),
+        ]
+    };
+
+    fn view(data: &[f32], rs: usize, cs: usize) -> View<'_> {
+        View { data, rs, cs }
+    }
+
+    /// The direct-kernel rule this one replaced: any dense-`B`-row problem
+    /// with `n >= 128` under 1 MFLOP, whatever its row count.
+    fn previous_rule(m: usize, k: usize, n: usize, b: View<'_>) -> bool {
+        b.cs == 1 && n >= DIRECT_MIN_N && 2 * m * k * n < DIRECT_MAX_FLOPS
+    }
+
+    /// The direct-kernel rule against every workload shape. It answers
+    /// the same under every tier; it only ever moves a shape off the
+    /// direct kernel (never onto it); exactly the b = 2 dense gradients
+    /// (`m = 2` or `k = 2`) stay direct; and every shape it moves gives the same bits packed as
+    /// direct, on every supported tier, under the workload's own `beta`
+    /// (a NaN-filled `C` for `beta = 0`, a zeroed one for `beta = 1`) with
+    /// zeros in `A` as after a ReLU.
+    #[test]
+    fn direct_rule_moves_only_bit_identical_shapes_on_every_tier() {
+        let mut rng = Rng::new(36);
+        let (mut moved, mut direct) = (Vec::new(), Vec::new());
+        for &(layout, m, k, n, beta) in WORKLOAD_SHAPES {
+            let a: Vec<f32> = (0..m * k)
+                .map(|i| if i % 5 == 0 { 0.0 } else { rng.normal() })
+                .collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            let (av, bv) = match layout {
+                Layout::Ab => (view(&a, k, 1), view(&b, n, 1)),
+                Layout::AtB => (view(&a, 1, m), view(&b, n, 1)),
+                Layout::ABt => (view(&a, k, 1), view(&b, 1, k)),
+            };
+            let rule = use_direct(m, k, n, bv);
+            for kernel in supported_kernels() {
+                assert_eq!(
+                    with_kernel(kernel, || use_direct(m, k, n, bv)),
+                    rule,
+                    "{kernel}"
+                );
+            }
+            assert!(
+                !rule || previous_rule(m, k, n, bv),
+                "{layout:?} {m}x{k}x{n} newly direct"
+            );
+            if rule {
+                direct.push((m, k, n));
+            }
+            if rule || !previous_rule(m, k, n, bv) {
+                continue;
+            }
+            moved.push((m, k, n));
+            assert!(k <= KC, "{layout:?} {m}x{k}x{n} spans several KC blocks");
+            let c0 = vec![if beta == 0.0 { f32::NAN } else { 0.0 }; m * n];
+            let mut want = c0.clone();
+            direct_serial(m, k, n, 1.0, av, bv, beta, &mut want);
+            for kernel in supported_kernels() {
+                let mut got = c0.clone();
+                packed_serial(
+                    kernel,
+                    m,
+                    k,
+                    n,
+                    1.0,
+                    av,
+                    bv,
+                    beta,
+                    &mut got,
+                    &mut Workspace::new(),
+                );
+                assert_eq!(
+                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "{kernel} {layout:?} {m}x{k}x{n} beta={beta}"
+                );
+            }
+        }
+        assert_eq!(
+            direct,
+            [(256, 2, 256), (2, 256, 256), (10, 2, 256), (2, 10, 256)]
+        );
+        assert_eq!(
+            moved,
+            [
+                (8, 27, 256),
+                (27, 8, 256),
+                (8, 72, 256),
+                (72, 8, 256),
+                (16, 8, 256),
+                (8, 16, 256)
+            ]
+        );
     }
 
     /// Satellite: forcing the scalar fallback must reproduce the default
