@@ -12,6 +12,11 @@ cd "$(dirname "$0")"
 echo "== format =="
 cargo fmt --check
 
+echo "== workspace size (informational, never a gate) =="
+# Non-blank, non-comment lines of non-test code under crates/, the
+# measure of ROADMAP needle 2's "smaller workspace" target.
+scripts/loc.sh || echo "scripts/loc.sh failed; informational only"
+
 echo "== build (release) =="
 cargo build --release
 

@@ -1,7 +1,7 @@
 //! The coordinator: control plane and state authority of a cluster.
 //!
 //! The coordinator runs the *unmodified* training loop
-//! ([`crossbow_sync::train_with_source`]) — sampling, synchronisation,
+//! ([`crossbow_sync::train_from`]) — sampling, synchronisation,
 //! evaluation, divergence guard, durable checkpointing — and plugs a
 //! `RemoteCluster` in as the gradient source. Workers are stateless
 //! gradient servers, so a healthy distributed run produces a
@@ -27,8 +27,8 @@ use crossbow_checkpoint::{CheckpointStore, TrainingState};
 use crossbow_data::{PartitionPlan, SampleSource};
 use crossbow_nn::Network;
 use crossbow_sync::{
-    resume_with_source, train_from_state_with_source, train_with_source, GradientSource,
-    LearnerBatch, RoundStatus, StateHook, SyncAlgorithm, TrainerConfig, TrainingCurve,
+    train_from, GradientSource, LearnerBatch, RoundStatus, Start, StateHook, SyncAlgorithm,
+    TrainerConfig, TrainingCurve,
 };
 use crossbow_telemetry::Telemetry;
 use std::net::{SocketAddr, TcpListener};
@@ -427,9 +427,9 @@ fn spawn_lease(repl: Arc<Replication>, interval: Duration) -> LeaseTask {
     }
 }
 
-/// A TCP-listening coordinator. Bind, then [`Coordinator::run`],
-/// [`Coordinator::resume`], or (on takeover)
-/// [`Coordinator::run_from_state`].
+/// A TCP-listening coordinator. Bind, then [`Coordinator::run`], or
+/// [`Coordinator::run_from`] a durable checkpoint ([`Start::Latest`]) or,
+/// on takeover, a replicated state ([`Start::State`]).
 pub struct Coordinator {
     listener: TcpListener,
     cfg: DistConfig,
@@ -499,47 +499,42 @@ impl Coordinator {
         algo: &mut dyn SyncAlgorithm,
         tcfg: &TrainerConfig,
     ) -> DistReport {
-        let (tcfg, repl, lease) = self.start_replication(tcfg);
-        let mut cluster = RemoteCluster::form(self, algo, &tcfg, Arc::clone(&repl));
-        let curve = train_with_source(net, train_set, test_set, algo, &tcfg, &mut cluster);
-        lease.stop();
-        self.finish(cluster, curve, algo, &repl)
+        self.run_from(net, train_set, test_set, algo, tcfg, Start::Fresh)
+            .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
     }
 
-    /// As [`Coordinator::run`], but starts from an in-memory
-    /// [`TrainingState`] — the standby-takeover path. The state is the
-    /// last one the old primary streamed; continuing from it keeps the
-    /// curve bit-identical to an undisturbed run.
+    /// As [`Coordinator::run`], but starts where `start` says:
+    /// [`Start::Latest`] resumes from the newest durable checkpoint that
+    /// fits (coordinator crash recovery); [`Start::State`] continues from
+    /// the last state the old primary streamed (standby takeover), which
+    /// keeps the curve bit-identical to an undisturbed run.
+    ///
+    /// # Errors
+    /// [`crossbow_checkpoint::CheckpointError`] when the checkpoint
+    /// directory is unreadable or a durable checkpoint cannot be written.
     ///
     /// # Panics
-    /// As [`Coordinator::run`], plus when the state does not fit the run.
-    pub fn run_from_state(
+    /// As [`Coordinator::run`], but for checkpoint errors; and when a
+    /// [`Start::State`] does not fit the run.
+    pub fn run_from(
         &self,
         net: &Network,
         train_set: &dyn SampleSource,
         test_set: &dyn SampleSource,
         algo: &mut dyn SyncAlgorithm,
         tcfg: &TrainerConfig,
-        state: Option<TrainingState>,
-    ) -> DistReport {
+        start: Start,
+    ) -> Result<DistReport, crossbow_checkpoint::CheckpointError> {
         let (tcfg, repl, lease) = self.start_replication(tcfg);
         let mut cluster = RemoteCluster::form(self, algo, &tcfg, Arc::clone(&repl));
-        let curve = train_from_state_with_source(
-            net,
-            train_set,
-            test_set,
-            algo,
-            &tcfg,
-            state,
-            &mut cluster,
-        );
+        let curve = train_from(net, train_set, test_set, algo, &tcfg, start, &mut cluster)?;
         lease.stop();
-        self.finish(cluster, curve, algo, &repl)
+        Ok(self.finish(cluster, curve, algo, &repl))
     }
 
     /// Wires the replication tap into the trainer config and starts the
-    /// lease-renewal thread. Every run variant goes through here, so a
-    /// primary is always standby-capable.
+    /// lease-renewal thread. Every run goes through here, so a primary is
+    /// always standby-capable.
     fn start_replication(
         &self,
         tcfg: &TrainerConfig,
@@ -553,30 +548,6 @@ impl Coordinator {
             }));
         let lease = spawn_lease(Arc::clone(&repl), self.cfg.lease_interval);
         (hooked, repl, lease)
-    }
-
-    /// As [`Coordinator::run`], but resumes from the newest durable
-    /// checkpoint when one fits (coordinator crash recovery).
-    ///
-    /// # Errors
-    /// [`crossbow_checkpoint::CheckpointError`] when the checkpoint
-    /// directory is unreadable.
-    ///
-    /// # Panics
-    /// As [`Coordinator::run`].
-    pub fn resume(
-        &self,
-        net: &Network,
-        train_set: &dyn SampleSource,
-        test_set: &dyn SampleSource,
-        algo: &mut dyn SyncAlgorithm,
-        tcfg: &TrainerConfig,
-    ) -> Result<DistReport, crossbow_checkpoint::CheckpointError> {
-        let (tcfg, repl, lease) = self.start_replication(tcfg);
-        let mut cluster = RemoteCluster::form(self, algo, &tcfg, Arc::clone(&repl));
-        let curve = resume_with_source(net, train_set, test_set, algo, &tcfg, &mut cluster)?;
-        lease.stop();
-        Ok(self.finish(cluster, curve, algo, &repl))
     }
 
     fn finish(

@@ -10,7 +10,7 @@
 //! election: wait out a priority-proportional stagger, defer to any
 //! higher-priority peer that answers a re-registration probe, and
 //! otherwise take over at `term + 1` by running
-//! [`Coordinator::run_from_state`] on its own listener. Because the
+//! [`Coordinator::run_from`] on its own listener. Because the
 //! streamed state is an exact post-step snapshot and workers are
 //! stateless, a takeover with no in-flight loss continues the curve
 //! bit-identically.
@@ -22,7 +22,7 @@ use crate::wire::WireError;
 use crossbow_checkpoint::TrainingState;
 use crossbow_data::Dataset;
 use crossbow_nn::Network;
-use crossbow_sync::{SyncAlgorithm, TrainerConfig};
+use crossbow_sync::{Start, SyncAlgorithm, TrainerConfig};
 use crossbow_telemetry::Telemetry;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -107,13 +107,6 @@ pub enum StandbyOutcome {
     TookOver(DistReport),
 }
 
-/// What the follow loop observed before it ended.
-struct Followed {
-    term_seen: u64,
-    last_state: Option<Vec<u8>>,
-    finished: bool,
-}
-
 /// Registers with the coordinator at `addr` and returns the follow link
 /// plus the acked term.
 fn register(
@@ -140,59 +133,50 @@ fn register(
     }
 }
 
-/// Follows one primary until it finishes, dies, or goes silent past the
-/// lease timeout.
+/// Follows one primary until it finishes (returns `true`), dies, or goes
+/// silent past the lease timeout, raising `term_seen` and keeping the
+/// newest state that decodes in `last_state` (decoded once, on receipt).
 fn follow(
     conn: &mut Conn,
-    mut term_seen: u64,
-    mut last_state: Option<Vec<u8>>,
+    term_seen: &mut u64,
+    last_state: &mut Option<TrainingState>,
     lease_timeout: Duration,
     on_event: &dyn Fn(StandbyEvent),
-) -> Followed {
+) -> bool {
     let mut last_signal = Instant::now();
     loop {
         match conn.recv_timeout(RECV_TIMEOUT) {
             Ok(Msg::Lease { term, .. }) => {
-                term_seen = term_seen.max(term);
+                *term_seen = (*term_seen).max(term);
                 last_signal = Instant::now();
             }
             Ok(Msg::State { term, seq, state }) => {
                 // A stale-term update (an old primary flushing its last
-                // write) must never overwrite a newer term's state.
-                if term >= term_seen {
-                    term_seen = term;
-                    let iterations = TrainingState::decode(&state)
-                        .map(|s| s.iterations)
-                        .unwrap_or(0);
-                    on_event(StandbyEvent::State {
-                        term,
-                        seq,
-                        iterations,
-                    });
-                    last_state = Some(state);
+                // write) must never overwrite a newer term's state. One
+                // that does not decode is dropped: the last good state
+                // stays, and resuming from it is still bit-identical.
+                if term >= *term_seen {
+                    *term_seen = term;
+                    if let Ok(state) = TrainingState::decode(&state) {
+                        on_event(StandbyEvent::State {
+                            term,
+                            seq,
+                            iterations: state.iterations,
+                        });
+                        *last_state = Some(state);
+                    }
                 }
                 last_signal = Instant::now();
             }
-            Ok(Msg::Shutdown) => {
-                return Followed {
-                    term_seen,
-                    last_state,
-                    finished: true,
-                }
-            }
+            Ok(Msg::Shutdown) => return true,
             Ok(_) => last_signal = Instant::now(),
             Err(WireError::Timeout) => {
                 if last_signal.elapsed() > lease_timeout {
-                    break;
+                    return false;
                 }
             }
-            Err(_) => break,
+            Err(_) => return false,
         }
-    }
-    Followed {
-        term_seen,
-        last_state,
-        finished: false,
     }
 }
 
@@ -238,8 +222,9 @@ fn probe(
 /// wrap of a takeover bind failure.
 ///
 /// # Panics
-/// On takeover, as [`Coordinator::run_from_state`] — notably when the
-/// replicated state does not fit the configured run.
+/// On takeover, as [`Coordinator::run_from`] — notably when the
+/// replicated state does not fit the configured run — and when a durable
+/// checkpoint cannot be written.
 #[allow(clippy::too_many_arguments)] // the coordinator run surface, plus standby identity
 pub fn run_standby(
     net: &Network,
@@ -256,18 +241,15 @@ pub fn run_standby(
 ) -> Result<StandbyOutcome, WireError> {
     let (mut conn, mut term_seen) = register(&scfg.connect, dist.term, scfg, &telemetry)?;
     on_event(StandbyEvent::Registered { term: term_seen });
-    let mut last_state: Option<Vec<u8>> = None;
+    let mut last_state = None;
     loop {
-        let followed = follow(
+        if follow(
             &mut conn,
-            term_seen,
-            last_state.take(),
+            &mut term_seen,
+            &mut last_state,
             dist.lease_timeout,
             on_event,
-        );
-        term_seen = followed.term_seen;
-        last_state = followed.last_state;
-        if followed.finished {
+        ) {
             return Ok(StandbyOutcome::PrimaryFinished);
         }
         // Election. Stagger by priority so the fleet self-promotes in
@@ -294,13 +276,10 @@ pub fn run_standby(
         let term = term_seen + 1;
         on_event(StandbyEvent::TakingOver { term });
         telemetry.metrics.counter("net.takeovers").inc();
-        let state = last_state
-            .as_deref()
-            .map(|bytes| TrainingState::decode(bytes).expect("replicated state must decode"));
         // The replicated state's replica count is the cluster size the
         // old primary last ran with — honor it even if it drifted from
         // the configured formation size through evictions or rejoins.
-        let k = state
+        let k = last_state
             .as_ref()
             .map(|s| s.algo.replicas.len())
             .filter(|k| *k > 0)
@@ -314,8 +293,49 @@ pub fn run_standby(
             coordinator = coordinator.with_events(hook);
         }
         let mut algo = algo_factory(k);
-        let report =
-            coordinator.run_from_state(net, train_set, test_set, algo.as_mut(), tcfg, state);
+        let start = last_state.map_or(Start::Fresh, |st| Start::State(Box::new(st)));
+        let report = coordinator
+            .run_from(net, train_set, test_set, algo.as_mut(), tcfg, start)
+            .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
         return Ok(StandbyOutcome::TookOver(report));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    #[test]
+    fn a_state_that_does_not_decode_leaves_the_last_good_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tel = Telemetry::disabled();
+        let primary = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let primary = Conn::new(primary, tel.clone()).unwrap();
+        let mut standby = Conn::new(listener.accept().unwrap().0, tel).unwrap();
+        let good = TrainingState {
+            iterations: 20,
+            ..TrainingState::default()
+        };
+        let mut garbage = TrainingState {
+            iterations: 21,
+            ..good.clone()
+        }
+        .encode();
+        garbage.pop();
+        let term = 1;
+        for (seq, state) in [(1, good.encode()), (2, garbage)] {
+            primary.send(&Msg::State { term, seq, state }).unwrap();
+        }
+        // The primary stays connected but silent: the follow ends on the
+        // lease timeout.
+        let (mut term_seen, mut kept, seen) = (term, None, RefCell::new(Vec::new()));
+        let on_event = |e: StandbyEvent| seen.borrow_mut().push(format!("{e:?}"));
+        let timeout = Duration::from_millis(300);
+        let finished = follow(&mut standby, &mut term_seen, &mut kept, timeout, &on_event);
+        assert!(!finished, "the primary went silent");
+        assert_eq!(kept, Some(good), "the last good state is kept");
+        let seen = seen.into_inner();
+        assert_eq!(seen, ["State { term: 1, seq: 1, iterations: 20 }"]);
     }
 }

@@ -34,7 +34,7 @@ use crossbow::nn::ModelProfile;
 use crossbow::serve::BatchConfig;
 use crossbow::sync::sma::{Sma, SmaConfig};
 use crossbow::sync::trainer::PublishHook;
-use crossbow::sync::TrainerConfig;
+use crossbow::sync::{Start, TrainerConfig};
 use crossbow::telemetry::{chrome, Telemetry, Timeline, HOST_DEVICE};
 use crossbow::CheckpointConfig;
 use crossbow_nn::zoo::mlp;
@@ -611,8 +611,7 @@ fn dist_coordinator(flags: &Flags<'_>) -> Result<(), String> {
         flags.parse_num("progress-every", 5u64)?,
         |iter, _| println!("PROGRESS iter={iter}"),
     ));
-    let checkpoint_dir = flags.get("checkpoint-dir");
-    if let Some(dir) = checkpoint_dir {
+    if let Some(dir) = flags.get("checkpoint-dir") {
         trainer = trainer.with_checkpointing(CheckpointConfig::new(dir));
     }
     // Disk-backed runs partition the shard set across the worker slots.
@@ -625,13 +624,17 @@ fn dist_coordinator(flags: &Flags<'_>) -> Result<(), String> {
         None => None,
     };
     let train_source: &dyn crossbow::data::SampleSource = train_from_disk.unwrap_or(&train_set);
-    let report = if checkpoint_dir.is_some() {
-        coordinator
-            .resume(&net, train_source, &test_set, algo.as_mut(), &trainer)
-            .map_err(|e| format!("checkpoint store: {e}"))?
-    } else {
-        coordinator.run(&net, train_source, &test_set, algo.as_mut(), &trainer)
-    };
+    // Without a checkpoint directory `Start::Latest` is a fresh run.
+    let report = coordinator
+        .run_from(
+            &net,
+            train_source,
+            &test_set,
+            algo.as_mut(),
+            &trainer,
+            Start::Latest,
+        )
+        .map_err(|e| format!("checkpoint store: {e}"))?;
     print_report(&report);
     Ok(())
 }

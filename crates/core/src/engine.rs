@@ -21,14 +21,14 @@ use crate::exec_sim::{
     simulate, simulate_robust_with_machine, simulate_with_machine, EngineKind, RobustSimConfig,
     SimConfig, SimReport,
 };
-use crossbow_checkpoint::{CheckpointError, CheckpointStore, RetentionPolicy};
+use crossbow_checkpoint::CheckpointError;
 use crossbow_gpu_sim::{FaultPlan, Machine, SimDuration};
 use crossbow_sync::algorithm::SyncAlgorithm;
 use crossbow_sync::hierarchical::HierarchicalSma;
 use crossbow_sync::optimizer::SgdConfig;
 use crossbow_sync::sma::{easgd, Sma, SmaConfig};
 use crossbow_sync::ssgd::SSgd;
-use crossbow_sync::{resume, train, CheckpointConfig, GuardConfig, TrainerConfig, TrainingCurve};
+use crossbow_sync::{resume, CheckpointConfig, GuardConfig, TrainerConfig, TrainingCurve};
 use crossbow_telemetry::Telemetry;
 use crossbow_tensor::Rng;
 
@@ -376,7 +376,7 @@ impl Session {
     /// different parallelism, whose `k` the checkpoint would not fit.
     fn recorded_learners(&self) -> Option<usize> {
         let ckpt = self.config.checkpoint.as_ref()?;
-        let store = CheckpointStore::open(&ckpt.dir, RetentionPolicy::default()).ok()?;
+        let store = ckpt.store().ok()?;
         let loaded = store.load_latest().ok().flatten()?;
         (loaded.state.seed == self.config.seed && loaded.state.learners_per_gpu > 0)
             .then_some(loaded.state.learners_per_gpu as usize)
@@ -434,17 +434,7 @@ impl Session {
             state_hook: None,
             telemetry: c.telemetry.clone(),
         };
-        if trainer_config.checkpoint.is_some() {
-            resume(&net, &train_set, &test_set, algo.as_mut(), &trainer_config)
-        } else {
-            Ok(train(
-                &net,
-                &train_set,
-                &test_set,
-                algo.as_mut(),
-                &trainer_config,
-            ))
-        }
+        resume(&net, &train_set, &test_set, algo.as_mut(), &trainer_config)
     }
 
     /// Runs the full session: auto-tune, simulate, train, combine.

@@ -29,9 +29,7 @@
 //! property the tests rely on.
 
 use crate::memory::ExecMemoryPlan;
-use crossbow_checkpoint::{
-    AlgoState, CheckpointError, CheckpointStore, DataCursor, RetentionPolicy, TrainingState,
-};
+use crossbow_checkpoint::{AlgoState, CheckpointError, CheckpointStore, DataCursor, TrainingState};
 use crossbow_data::{BatchSampler, Dataset};
 use crossbow_nn::{Network, Scratch};
 use crossbow_sync::{CheckpointConfig, SmaConfig, EVAL_BATCH};
@@ -212,16 +210,11 @@ pub fn train_concurrent(
     let mut init_prev = init.clone();
 
     // Warm-start from the newest valid checkpoint, when one fits.
-    let store = match config.checkpoint.as_ref() {
-        Some(ck) => {
-            let retention = RetentionPolicy {
-                keep_last: ck.keep_last,
-                keep_epoch_boundaries: true,
-            };
-            Some(CheckpointStore::open(&ck.dir, retention)?)
-        }
-        None => None,
-    };
+    let store = config
+        .checkpoint
+        .as_ref()
+        .map(CheckpointConfig::store)
+        .transpose()?;
     let mut resumed_from = None;
     let mut prior_accuracy = Vec::new();
     let mut prior_samples = 0u64;

@@ -38,7 +38,7 @@ pub use schedule::LrSchedule;
 pub use sma::{easgd, Sma, SmaConfig};
 pub use ssgd::SSgd;
 pub use trainer::{
-    resume, resume_with_source, train, train_from_state_with_source, train_with_source,
-    CheckpointConfig, GradientSource, GuardConfig, LearnerBatch, LocalGradients, PublishHook,
-    RoundStatus, StateHook, TrainerConfig, TrainingCurve, EVAL_BATCH,
+    resume, train, train_from, train_with_source, CheckpointConfig, GradientSource, GuardConfig,
+    LearnerBatch, LocalGradients, PublishHook, RoundStatus, Start, StateHook, TrainerConfig,
+    TrainingCurve, EVAL_BATCH,
 };

@@ -89,7 +89,7 @@ impl std::fmt::Debug for PublishHook {
 /// without a copy) after every `every`-th
 /// applied iteration — the same post-step snapshot a durable checkpoint
 /// would persist, so a consumer that later resumes from it (through
-/// [`train_from_state_with_source`]) replays the remaining run
+/// [`train_from`] with [`Start::State`]) replays the remaining run
 /// bit-identically. This is the replication tap: `crossbow-comms`
 /// streams these states to warm-standby coordinators.
 #[derive(Clone)]
@@ -440,6 +440,23 @@ pub trait GradientSource {
     ) -> RoundStatus;
 }
 
+/// What a run's state (Algorithm 1's `z`, `z_prev` and replicas, the
+/// data cursor, the curve so far) starts from. A state *fits* the run
+/// when it has the run's seed, algorithm and parameter count, and RNG
+/// streams to replay.
+#[derive(Debug)]
+pub enum Start {
+    /// The algorithm as handed in.
+    Fresh,
+    /// The newest valid checkpoint in `config.checkpoint.dir` if it fits;
+    /// otherwise (no checkpointing, no fit, every file corrupt) fresh.
+    Latest,
+    /// A state streamed to a warm standby through a [`StateHook`]. One
+    /// that does not fit panics: a takeover that silently retrained from
+    /// scratch would break the failover bit-identity invariant.
+    State(Box<TrainingState>),
+}
+
 /// Trains `algo` on `train_set`, evaluating on `test_set` at epoch ends.
 ///
 /// # Panics
@@ -470,45 +487,15 @@ pub fn train_with_source(
     config: &TrainerConfig,
     source: &mut dyn GradientSource,
 ) -> TrainingCurve {
-    let store = config
-        .checkpoint
-        .as_ref()
-        .map(|ckpt| ckpt.store().expect("cannot open the checkpoint directory"))
-        .map(|s| attach_metrics(s, config));
-    or_panic(run(
-        net, train_set, test_set, algo, config, None, store, source,
-    ))
+    train_from(net, train_set, test_set, algo, config, Start::Fresh, source)
+        .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
 }
 
-/// The infallible entry points' answer to a failed checkpoint write: a
-/// panic on the caller's thread that names the error.
-fn or_panic(run: Result<TrainingCurve, CheckpointError>) -> TrainingCurve {
-    run.unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
-}
-
-/// Wires the telemetry metrics registry into a checkpoint store so saves
-/// report bytes/latency.
-fn attach_metrics(store: CheckpointStore, config: &TrainerConfig) -> CheckpointStore {
-    match &config.telemetry {
-        Some(t) => store.with_metrics(Arc::clone(&t.metrics)),
-        None => store,
-    }
-}
-
-/// Resumes training from the newest valid checkpoint in
-/// `config.checkpoint.dir`, or trains from scratch when none is usable.
-///
-/// A checkpoint is used only when it matches the run: same seed, same
-/// algorithm, same parameter count. The resumed run replays the exact
-/// sample and update stream the interrupted run would have produced, so
-/// its [`TrainingCurve`] is bit-identical to an uninterrupted run of the
-/// same configuration. When *every* checkpoint on disk is corrupt the run
-/// starts fresh (the durable state is unusable, not merely absent).
+/// [`train`] from [`Start::Latest`]: resumes from the newest checkpoint
+/// that fits the run, or trains from scratch when none does.
 ///
 /// # Errors
-/// [`CheckpointError::Io`] when the checkpoint directory cannot be
-/// created or read, or a durable checkpoint cannot be written; the run
-/// stops at the first failed write.
+/// As [`train_from`].
 ///
 /// # Panics
 /// Panics on configuration/dataset/network mismatches.
@@ -520,96 +507,75 @@ pub fn resume(
     config: &TrainerConfig,
 ) -> Result<TrainingCurve, CheckpointError> {
     let mut source = LocalGradients::new(net, algo.k(), config);
-    resume_with_source(net, train_set, test_set, algo, config, &mut source)
+    let start = Start::Latest;
+    train_from(net, train_set, test_set, algo, config, start, &mut source)
 }
 
-/// [`resume`] with an explicit gradient source (e.g. a remote cluster).
+/// Trains `algo` from `start` with the gradients of `source`: the one
+/// way to start a run. Checkpoints and streamed states are post-step
+/// snapshots, so a continued run's curve and model are bit-identical to
+/// an undisturbed run's.
 ///
 /// # Errors
-/// As [`resume`].
+/// [`CheckpointError::Io`] when the checkpoint directory cannot be
+/// created or read, or a durable checkpoint cannot be written; the run
+/// stops at the first failed write.
 ///
 /// # Panics
-/// Panics on configuration/dataset/network mismatches.
-pub fn resume_with_source(
+/// Panics on configuration/dataset/network mismatches, and when a
+/// [`Start::State`] does not fit the run.
+pub fn train_from(
     net: &Network,
     train_set: &dyn SampleSource,
     test_set: &dyn SampleSource,
     algo: &mut dyn SyncAlgorithm,
     config: &TrainerConfig,
+    start: Start,
     source: &mut dyn GradientSource,
 ) -> Result<TrainingCurve, CheckpointError> {
-    let mut store = None;
-    let mut restored = None;
-    if let Some(ckpt) = &config.checkpoint {
-        let opened = ckpt.store()?;
-        restored = match opened.load_latest() {
-            Ok(Some(loaded)) => {
-                let st = loaded.state;
-                let fits = st.seed == config.seed
-                    && st.algorithm == algo.name()
-                    && st.algo.center.len() == algo.param_len()
-                    && !st.rngs.is_empty();
-                fits.then_some(st)
-            }
-            Ok(None) => None,
-            // Every file failed validation: durable state exists but none
-            // of it is trustworthy — start over rather than guess.
-            Err(CheckpointError::Corrupt(_)) => None,
-            Err(e @ CheckpointError::Io(_)) => return Err(e),
-        };
-        store = Some(attach_metrics(opened, config));
-    }
-    run(
-        net, train_set, test_set, algo, config, restored, store, source,
-    )
-}
-
-/// [`train_with_source`] seeded from an in-memory [`TrainingState`] — the
-/// warm-standby takeover path: a new coordinator resumes from the state
-/// the old primary streamed to it (via [`StateHook`]) instead of from a
-/// durable checkpoint file. `state: None` trains from scratch.
-///
-/// The state is post-step consistent, so the continued run replays the
-/// exact sample and update stream the interrupted run would have
-/// produced: curve and model are bit-identical to an undisturbed run.
-///
-/// # Panics
-/// As [`train`], or when `state` does not fit the run (seed, algorithm,
-/// or parameter-count mismatch) — a takeover that silently retrained
-/// from scratch would violate the failover bit-identity invariant.
-pub fn train_from_state_with_source(
-    net: &Network,
-    train_set: &dyn SampleSource,
-    test_set: &dyn SampleSource,
-    algo: &mut dyn SyncAlgorithm,
-    config: &TrainerConfig,
-    state: Option<TrainingState>,
-    source: &mut dyn GradientSource,
-) -> TrainingCurve {
-    if let Some(st) = &state {
-        assert!(
-            st.seed == config.seed
-                && st.algorithm == algo.name()
-                && st.algo.center.len() == algo.param_len()
-                && !st.rngs.is_empty(),
-            "replicated state does not fit this run (seed {} vs {}, algorithm {:?} vs {:?}, \
-             params {} vs {})",
-            st.seed,
-            config.seed,
-            st.algorithm,
-            algo.name(),
-            st.algo.center.len(),
-            algo.param_len(),
-        );
-    }
     let store = config
         .checkpoint
         .as_ref()
-        .map(|ckpt| ckpt.store().expect("cannot open the checkpoint directory"))
-        .map(|s| attach_metrics(s, config));
-    or_panic(run(
-        net, train_set, test_set, algo, config, state, store, source,
-    ))
+        .map(CheckpointConfig::store)
+        .transpose()?;
+    let fits = |st: &TrainingState| {
+        st.seed == config.seed
+            && st.algorithm == algo.name()
+            && st.algo.center.len() == algo.param_len()
+            && !st.rngs.is_empty()
+    };
+    let restored = match start {
+        Start::Fresh => None,
+        Start::Latest => match store.as_ref().map(CheckpointStore::load_latest) {
+            Some(Ok(Some(loaded))) => Some(loaded.state).filter(fits),
+            // Every file failed validation: durable state exists but none
+            // of it is trustworthy — start over rather than guess.
+            None | Some(Ok(None) | Err(CheckpointError::Corrupt(_))) => None,
+            Some(Err(e)) => return Err(e),
+        },
+        Start::State(st) => {
+            assert!(
+                fits(&st),
+                "replicated state does not fit this run (seed {} vs {}, algorithm {:?} vs {:?}, \
+                 params {} vs {})",
+                st.seed,
+                config.seed,
+                st.algorithm,
+                algo.name(),
+                st.algo.center.len(),
+                algo.param_len(),
+            );
+            Some(*st)
+        }
+    };
+    let store = store.map(|s| match &config.telemetry {
+        // Saves report their bytes and latency into the run's registry.
+        Some(t) => s.with_metrics(Arc::clone(&t.metrics)),
+        None => s,
+    });
+    run(
+        net, train_set, test_set, algo, config, restored, store, source,
+    )
 }
 
 /// Mutable loop state beyond the curve itself — bundled so the
@@ -764,6 +730,10 @@ fn finish(
     Ok(curve)
 }
 
+// Out of line so the training loop compiles to the same code whichever
+// entry point starts the run: with `train_from` its only caller, it would
+// otherwise be inlined there.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn run(
     net: &Network,
@@ -1727,17 +1697,64 @@ mod tests {
         // and lands on the exact same curve and model.
         let mut algo = fresh_algo();
         let mut source = LocalGradients::new(&net, algo.k(), &cfg);
-        let resumed = train_from_state_with_source(
+        let resumed = train_from(
             &net,
             &train_set,
             &test_set,
             &mut algo,
             &cfg,
-            Some(st),
+            Start::State(Box::new(st)),
             &mut source,
-        );
+        )
+        .expect("no checkpointing");
         assert_eq!(resumed, full, "curve must be bit-exact after takeover");
         assert_eq!(algo.consensus(), &full_model[..], "model must match");
+    }
+
+    #[test]
+    fn resume_over_another_runs_store_trains_fresh_and_matches() {
+        let (net, train_set, test_set) = setup();
+        let narrow = mlp(6, &[12], 4);
+        let sma = |n: &Network| Sma::new(n.init_params(&mut Rng::new(1)), 2, SmaConfig::default());
+        let cfg = TrainerConfig::new(8, 2).with_seed(11);
+        let mut algo = sma(&net);
+        let fresh = train(&net, &train_set, &test_set, &mut algo, &cfg);
+        let fresh = (fresh, algo.consensus().to_vec());
+        let ssgd = SSgd::new(net.init_params(&mut Rng::new(1)), 2, SgdConfig::plain());
+        let others: [(&str, &Network, Box<dyn SyncAlgorithm>, u64); 3] = [
+            ("seed", &net, Box::new(sma(&net)), 12),
+            ("algorithm", &net, Box::new(ssgd), 11),
+            ("params", &narrow, Box::new(sma(&narrow)), 11),
+        ];
+        for (other, other_net, mut other_algo, seed) in others {
+            let ckpt = CheckpointConfig::new(scratch_path(&format!("other-{other}"))).every(10);
+            let crashed = TrainerConfig::new(8, 2)
+                .with_seed(seed)
+                .with_crash_after(30);
+            let crashed = crashed.with_checkpointing(ckpt.clone());
+            train(
+                other_net,
+                &train_set,
+                &test_set,
+                other_algo.as_mut(),
+                &crashed,
+            );
+            let left = ckpt.store().unwrap().load_latest().unwrap();
+            assert_eq!(
+                left.map(|l| l.state.iterations),
+                Some(30),
+                "another {other}"
+            );
+            let mut algo = sma(&net);
+            let cfg = cfg.clone().with_checkpointing(ckpt.clone());
+            let resumed = resume(&net, &train_set, &test_set, &mut algo, &cfg).unwrap();
+            let resumed = (resumed, algo.consensus().to_vec());
+            assert_eq!(
+                resumed, fresh,
+                "another {other}: curve and model of a fresh run"
+            );
+            let _ = std::fs::remove_dir_all(&ckpt.dir);
+        }
     }
 
     #[test]
@@ -1752,13 +1769,13 @@ mod tests {
             ..TrainingState::default()
         };
         let mut source = LocalGradients::new(&net, algo.k(), &cfg);
-        let _ = train_from_state_with_source(
+        let _ = train_from(
             &net,
             &train_set,
             &test_set,
             &mut algo,
             &cfg,
-            Some(st),
+            Start::State(Box::new(st)),
             &mut source,
         );
     }
