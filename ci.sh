@@ -32,8 +32,9 @@ echo "== quickstart (the README's first command) =="
 echo "== tests (wall-clock bounded) =="
 # Checkpoint writers and other helper threads are joined before their
 # entry points return; a join that never returns must fail CI instead of
-# wedging it.
-timeout 900 cargo test -q
+# wedging it. `--no-fail-fast` runs every test binary even after one
+# fails, so a flaky binary hides no later result (the step still fails).
+timeout 900 cargo test -q --no-fail-fast
 
 echo "== numeric suites on each forced GEMM tier (wall-clock bounded) =="
 # Detection picks the fastest tier the CPU supports, so without these

@@ -103,6 +103,16 @@ fn read_algo(r: &mut Reader<'_>) -> Result<AlgoState, DecodeError> {
 }
 
 impl TrainingState {
+    /// Whether this state belongs to a run with this seed, algorithm
+    /// name and parameter count: the one fit test every resume applies
+    /// before it trusts a checkpoint.
+    pub fn fits(&self, seed: u64, algorithm: &str, param_len: usize) -> bool {
+        self.seed == seed
+            && self.algorithm == algorithm
+            && self.algo.center.len() == param_len
+            && self.algo.center_prev.len() == param_len
+    }
+
     /// Serialises the state to the stable little-endian payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -251,6 +261,18 @@ mod tests {
             }],
             learners_per_gpu: 4,
         }
+    }
+
+    #[test]
+    fn fits_only_its_own_run() {
+        let state = sample_state();
+        assert!(state.fits(42, "sma", 2));
+        assert!(!state.fits(43, "sma", 2), "another seed");
+        assert!(!state.fits(42, "ea-sgd", 2), "another algorithm");
+        assert!(!state.fits(42, "sma", 3), "another model");
+        let mut torn = sample_state();
+        torn.algo.center_prev.pop();
+        assert!(!torn.fits(42, "sma", 2), "a torn centre");
     }
 
     #[test]

@@ -525,9 +525,19 @@ impl Coordinator {
         tcfg: &TrainerConfig,
         start: Start,
     ) -> Result<DistReport, crossbow_checkpoint::CheckpointError> {
+        let store = tcfg.store()?;
         let (tcfg, repl, lease) = self.start_replication(tcfg);
-        let mut cluster = RemoteCluster::form(self, algo, &tcfg, Arc::clone(&repl));
-        let curve = train_from(net, train_set, test_set, algo, &tcfg, start, &mut cluster)?;
+        let mut cluster = RemoteCluster::form(self, algo, &tcfg, store.clone(), Arc::clone(&repl));
+        let curve = train_from(
+            net,
+            train_set,
+            test_set,
+            algo,
+            &tcfg,
+            start,
+            store,
+            &mut cluster,
+        )?;
         lease.stop();
         Ok(self.finish(cluster, curve, algo, &repl))
     }
@@ -615,6 +625,7 @@ impl<'a> RemoteCluster<'a> {
         coordinator: &'a Coordinator,
         algo: &mut dyn SyncAlgorithm,
         tcfg: &TrainerConfig,
+        store: Option<CheckpointStore>,
         repl: Arc<Replication>,
     ) -> Self {
         assert_eq!(
@@ -628,7 +639,7 @@ impl<'a> RemoteCluster<'a> {
             telemetry: coordinator.telemetry.clone(),
             events: coordinator.events.clone(),
             members: Vec::new(),
-            store: tcfg.checkpoint.as_ref().and_then(|c| c.store().ok()),
+            store,
             repl,
             partition: tcfg.partition,
             seed: tcfg.seed,
@@ -1200,6 +1211,32 @@ mod tests {
         assert_eq!(bytes, state_at(N + 1).encode());
         lease.stop();
         repl.shutdown(false);
+    }
+
+    #[test]
+    fn an_unopenable_checkpoint_directory_fails_the_run_before_it_forms() {
+        // A file where the checkpoint directory's parent should be: the
+        // run's one open of the store fails, and the run returns that
+        // error instead of waiting for workers that never come.
+        let file =
+            std::env::temp_dir().join(format!("crossbow-coord-store-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let mut cfg = DistConfig::new(Topology::Ps, 1);
+        cfg.join_timeout = Duration::from_secs(2);
+        let coordinator = Coordinator::bind("127.0.0.1:0", cfg, Telemetry::disabled()).unwrap();
+        let net = crossbow_nn::zoo::mlp(4, &[4], 2);
+        let data = crossbow_data::synth::gaussian_mixture(2, 4, 16, 0.3, 1);
+        let init = net.init_params(&mut crossbow_tensor::Rng::new(1));
+        let mut algo = crossbow_sync::Sma::new(init, 1, crossbow_sync::SmaConfig::default());
+        let tcfg = TrainerConfig::new(4, 1).with_checkpointing(
+            crossbow_sync::CheckpointConfig::new(file.join("checkpoints")),
+        );
+        let run = coordinator.run_from(&net, &data, &data, &mut algo, &tcfg, Start::Fresh);
+        assert!(matches!(
+            run,
+            Err(crossbow_checkpoint::CheckpointError::Io(_))
+        ));
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

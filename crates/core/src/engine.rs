@@ -23,6 +23,7 @@ use crate::exec_sim::{
 };
 use crossbow_checkpoint::CheckpointError;
 use crossbow_gpu_sim::{FaultPlan, Machine, SimDuration};
+use crossbow_nn::Network;
 use crossbow_sync::algorithm::SyncAlgorithm;
 use crossbow_sync::hierarchical::HierarchicalSma;
 use crossbow_sync::optimizer::SgdConfig;
@@ -371,31 +372,26 @@ impl Session {
     }
 
     /// The learners-per-GPU count recorded in the newest valid checkpoint
-    /// of this session's store, when one exists and matches the seed.
-    /// Resuming must reuse it: re-running the auto-tuner could pick a
-    /// different parallelism, whose `k` the checkpoint would not fit.
+    /// of this session's store, when one exists and fits this session's
+    /// run (seed, algorithm, model). Resuming must reuse it: re-running
+    /// the auto-tuner could pick a different parallelism, whose `k` the
+    /// checkpoint would not fit.
     fn recorded_learners(&self) -> Option<usize> {
-        let ckpt = self.config.checkpoint.as_ref()?;
-        let store = ckpt.store().ok()?;
-        let loaded = store.load_latest().ok().flatten()?;
-        (loaded.state.seed == self.config.seed && loaded.state.learners_per_gpu > 0)
-            .then_some(loaded.state.learners_per_gpu as usize)
+        let c = &self.config;
+        let store = c.checkpoint.as_ref()?.store().ok()?;
+        let state = store.load_latest().ok().flatten()?.state;
+        let m = state.learners_per_gpu as usize;
+        let algo = self.algorithm(&c.benchmark.network(), m.max(1));
+        (m > 0 && state.fits(c.seed, algo.name(), algo.param_len())).then_some(m)
     }
 
-    /// Runs the statistical-efficiency half: real training of the reduced
-    /// model with `k = m * gpus` learners.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] when the configured checkpoint directory
-    /// cannot be created or read, or a checkpoint cannot be written.
-    pub fn train_statistics(&self, m: usize) -> Result<TrainingCurve, CheckpointError> {
+    /// The session's algorithm at `m` learners per GPU, from the seeded
+    /// initial model of `net`.
+    fn algorithm(&self, net: &Network, m: usize) -> Box<dyn SyncAlgorithm> {
         let c = &self.config;
-        let net = c.benchmark.network();
-        let (train_set, test_set) = c.benchmark.dataset(c.seed);
-        let mut rng = Rng::new(c.seed ^ 0xC0FFEE);
-        let init = net.init_params(&mut rng);
+        let init = net.init_params(&mut Rng::new(c.seed ^ 0xC0FFEE));
         let k = m * c.gpus;
-        let mut algo: Box<dyn SyncAlgorithm> = match c.algorithm {
+        match c.algorithm {
             AlgorithmKind::Sma { tau } => Box::new(Sma::new(
                 init,
                 k,
@@ -409,7 +405,21 @@ impl Session {
             }
             AlgorithmKind::SSgd => Box::new(SSgd::new(init, k, SgdConfig::paper_default())),
             AlgorithmKind::EaSgd { tau } => Box::new(easgd(init, k, None, tau)),
-        };
+        }
+    }
+
+    /// Runs the statistical-efficiency half: real training of the reduced
+    /// model with `k = m * gpus` learners.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Io`] when the configured checkpoint directory
+    /// cannot be created or read, or a checkpoint cannot be written.
+    pub fn train_statistics(&self, m: usize) -> Result<TrainingCurve, CheckpointError> {
+        let c = &self.config;
+        let net = c.benchmark.network();
+        let (train_set, test_set) = c.benchmark.dataset(c.seed);
+        let k = m * c.gpus;
+        let mut algo = self.algorithm(&net, m);
         // The simulator runs at the paper's full scale; the statistical
         // run maps the batch onto the (smaller) synthetic task.
         let stat_batch = c.benchmark.scale_batch(c.batch_per_learner);
@@ -623,5 +633,39 @@ mod tests {
         assert_eq!(resumed.learners_per_gpu, 2);
         assert_eq!(resumed.curve, baseline.curve);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_algorithm_changes_nothing() {
+        // Same seed, another algorithm, another parallelism: the state
+        // fits neither the auto-tuner's shortcut nor the trainer, so a
+        // session over that directory equals one over an empty directory.
+        let dir = |name: &str| {
+            let dir = std::env::temp_dir().join(format!(
+                "crossbow-session-foreign-{name}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        };
+        let session = |algorithm, m: Option<usize>, dir: &std::path::Path| {
+            let mut cfg = SessionConfig::lenet_quick()
+                .with_seed(7)
+                .with_algorithm(algorithm)
+                .with_checkpointing(CheckpointConfig::new(dir).every(10));
+            cfg.max_epochs = Some(2);
+            cfg.learners_per_gpu = m;
+            Session::new(cfg).run().expect("run")
+        };
+        let (empty, foreign) = (dir("empty"), dir("written"));
+        let sma = AlgorithmKind::Sma { tau: 1 };
+        let fresh = session(sma, None, &empty);
+        let other = AlgorithmKind::EaSgd { tau: 1 };
+        session(other, Some(fresh.learners_per_gpu + 1), &foreign);
+        let over_foreign = session(sma, None, &foreign);
+        assert_eq!(over_foreign.learners_per_gpu, fresh.learners_per_gpu);
+        assert_eq!(over_foreign.curve, fresh.curve);
+        let _ = std::fs::remove_dir_all(&empty);
+        let _ = std::fs::remove_dir_all(&foreign);
     }
 }

@@ -220,12 +220,7 @@ pub fn train_concurrent(
     let mut prior_samples = 0u64;
     if let Some(store) = &store {
         match store.load_latest() {
-            Ok(Some(loaded))
-                if loaded.state.seed == config.seed
-                    && loaded.state.algorithm == ALGO_NAME
-                    && loaded.state.algo.center.len() == plen
-                    && loaded.state.algo.center_prev.len() == plen =>
-            {
+            Ok(Some(loaded)) if loaded.state.fits(config.seed, ALGO_NAME, plen) => {
                 init = loaded.state.algo.center.clone();
                 init_prev = loaded.state.algo.center_prev.clone();
                 resumed_from = Some(loaded.state.iterations);

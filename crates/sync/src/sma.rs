@@ -20,9 +20,29 @@
 //!
 //! [`easgd`] configures the same machinery as elastic averaging SGD \[69\]:
 //! no centre momentum (µ = 0). This is the comparator of Figure 15.
+//!
+//! # The step
+//!
+//! [`Sma::step`] is one fused pass over the parameters, split into
+//! ranges of `STEP_RANGE` elements that the caller and the process's
+//! parked [`lanes`] claim. Each range is walked in stack blocks of
+//! `STEP_BLOCK` elements: the block's corrections are summed into a
+//! stack accumulator, replica by replica, and `z` is updated while the
+//! block is still in cache. Every element gets Algorithm 1's operations
+//! in Algorithm 1's order (every `c_j` in ascending `j` into a `0.0`
+//! accumulator, then `z`), whatever the range, block or thread, so the
+//! result is bit-identical to the textbook loop.
 
 use crate::algorithm::{AlgoSnapshot, SyncAlgorithm};
-use crossbow_tensor::ops;
+use crossbow_tensor::{lanes, ops};
+
+/// Elements per range a step participant claims: large enough that a
+/// claim is rare next to the work, small enough that a lane that wakes
+/// late still finds ranges to take.
+const STEP_RANGE: usize = 16384;
+
+/// Elements per stack block inside a range (the correction sum's size).
+const STEP_BLOCK: usize = 512;
 
 /// SMA hyper-parameters.
 #[derive(Clone, Copy, Debug)]
@@ -56,8 +76,6 @@ pub struct Sma {
     /// `z` at the beginning of the previous iteration (`z_prev`).
     center_prev: Vec<f32>,
     iter: u64,
-    /// Scratch: sum of corrections.
-    sum_c: Vec<f32>,
 }
 
 impl Sma {
@@ -70,7 +88,6 @@ impl Sma {
         assert!(k > 0, "need at least one learner");
         assert!(!initial.is_empty(), "empty model");
         assert!(config.tau > 0, "tau must be at least 1");
-        let len = initial.len();
         Sma {
             name: "sma",
             config,
@@ -78,7 +95,6 @@ impl Sma {
             center_prev: initial.clone(),
             center: initial,
             iter: 0,
-            sum_c: vec![0.0; len],
         }
     }
 
@@ -91,6 +107,61 @@ impl Sma {
     /// The configured τ.
     pub fn tau(&self) -> usize {
         self.config.tau
+    }
+}
+
+/// The scalars of one step.
+#[derive(Clone, Copy)]
+struct Update {
+    /// Whether this iteration applies corrections (τ gating).
+    sync: bool,
+    alpha: f32,
+    mu: f32,
+    lr: f32,
+}
+
+/// One claimed range of a step: elements `start..start + z.len()` of
+/// every replica, of `z` and of `z_prev`.
+struct Range<'a, 'w> {
+    start: usize,
+    replicas: &'a mut [&'w mut [f32]],
+    z: &'a mut [f32],
+    z_prev: &'a mut [f32],
+}
+
+impl Range<'_, '_> {
+    fn step(&mut self, grads: &[Vec<f32>], u: Update) {
+        let end = self.start + self.z.len();
+        if !u.sync {
+            for (w, g) in self.replicas.iter_mut().zip(grads) {
+                ops::axpy(-u.lr, &g[self.start..end], w);
+            }
+            return;
+        }
+        for b0 in (0..self.z.len()).step_by(STEP_BLOCK) {
+            let b1 = (b0 + STEP_BLOCK).min(self.z.len());
+            let (g0, g1) = (self.start + b0, self.start + b1);
+            let z = &mut self.z[b0..b1];
+            let mut sum = [0.0f32; STEP_BLOCK];
+            let sum = &mut sum[..z.len()];
+            for (w, g) in self.replicas.iter_mut().zip(grads) {
+                for ((wi, &gi), (si, &zi)) in w[b0..b1]
+                    .iter_mut()
+                    .zip(&g[g0..g1])
+                    .zip(sum.iter_mut().zip(z.iter()))
+                {
+                    let c = u.alpha * (*wi - zi);
+                    *wi -= u.lr * gi + c;
+                    *si += c;
+                }
+            }
+            // z <- z + sum(c) + mu * (z - z_prev); z_prev <- old z.
+            for ((zi, zpi), &si) in z.iter_mut().zip(&mut self.z_prev[b0..b1]).zip(sum.iter()) {
+                let old = *zi;
+                *zi = old + si + u.mu * (old - *zpi);
+                *zpi = old;
+            }
+        }
     }
 }
 
@@ -130,39 +201,43 @@ impl SyncAlgorithm for Sma {
     fn step(&mut self, grads: &[Vec<f32>], lr: f32) {
         let k = self.replicas.len();
         assert_eq!(grads.len(), k, "one gradient per learner");
-        let sync = self.iter.is_multiple_of(self.config.tau as u64);
-        if sync {
-            let alpha = self.alpha();
-            ops::zero(&mut self.sum_c);
-            for (w, g) in self.replicas.iter_mut().zip(grads) {
-                debug_assert_eq!(w.len(), g.len());
-                for ((wi, &gi), (sci, &zi)) in w
+        let len = self.center.len();
+        debug_assert!(grads.iter().all(|g| g.len() == len));
+        let update = Update {
+            sync: self.iter.is_multiple_of(self.config.tau as u64),
+            alpha: self.alpha(),
+            mu: self.config.momentum,
+            lr,
+        };
+        // Range `r` of every replica, in range-major order, so that the
+        // `k` slices of one range sit together.
+        let mut columns: Vec<_> = self
+            .replicas
+            .iter_mut()
+            .map(|w| w.chunks_mut(STEP_RANGE))
+            .collect();
+        let mut replica_ranges: Vec<&mut [f32]> = Vec::with_capacity(len.div_ceil(STEP_RANGE) * k);
+        while let Some(first) = columns[0].next() {
+            replica_ranges.push(first);
+            replica_ranges.extend(
+                columns[1..]
                     .iter_mut()
-                    .zip(g.iter())
-                    .zip(self.sum_c.iter_mut().zip(self.center.iter()))
-                {
-                    let c = alpha * (*wi - zi);
-                    *wi -= lr * gi + c;
-                    *sci += c;
-                }
-            }
-            // z <- z + sum(c) + mu * (z - z_prev); z_prev <- old z.
-            let mu = self.config.momentum;
-            for ((zi, zpi), &sci) in self
-                .center
-                .iter_mut()
-                .zip(self.center_prev.iter_mut())
-                .zip(self.sum_c.iter())
-            {
-                let old = *zi;
-                *zi = old + sci + mu * (old - *zpi);
-                *zpi = old;
-            }
-        } else {
-            for (w, g) in self.replicas.iter_mut().zip(grads) {
-                ops::axpy(-lr, g, w);
-            }
+                    .map(|c| c.next().expect("equal lengths")),
+            );
         }
+        let mut ranges: Vec<Range<'_, '_>> = replica_ranges
+            .chunks_mut(k)
+            .zip(self.center.chunks_mut(STEP_RANGE))
+            .zip(self.center_prev.chunks_mut(STEP_RANGE))
+            .enumerate()
+            .map(|(r, ((replicas, z), z_prev))| Range {
+                start: r * STEP_RANGE,
+                replicas,
+                z,
+                z_prev,
+            })
+            .collect();
+        lanes::for_each(&mut ranges, |range| range.step(grads, update));
         self.iter += 1;
     }
 
@@ -331,6 +406,99 @@ mod tests {
         assert_eq!(sma.consensus(), z.as_slice());
         assert_eq!(sma.replica(0), w[0].as_slice());
         assert_eq!(sma.replica(1), w[1].as_slice());
+    }
+
+    /// Algorithm 1 as textbook serial loops (one pass per replica, then
+    /// one for `z`) over whole vectors: the oracle of the property test.
+    struct Serial {
+        w: Vec<Vec<f32>>,
+        z: Vec<f32>,
+        z_prev: Vec<f32>,
+        iter: u64,
+    }
+
+    impl Serial {
+        fn step(&mut self, grads: &[Vec<f32>], lr: f32, alpha: f32, mu: f32, tau: u64) {
+            if self.iter.is_multiple_of(tau) {
+                let mut sum_c = vec![0.0f32; self.z.len()];
+                for (w, g) in self.w.iter_mut().zip(grads) {
+                    for ((wi, &gi), (sci, &zi)) in
+                        w.iter_mut().zip(g).zip(sum_c.iter_mut().zip(&self.z))
+                    {
+                        let c = alpha * (*wi - zi);
+                        *wi -= lr * gi + c;
+                        *sci += c;
+                    }
+                }
+                for ((zi, zpi), &sci) in self.z.iter_mut().zip(&mut self.z_prev).zip(&sum_c) {
+                    let old = *zi;
+                    *zi = old + sci + mu * (old - *zpi);
+                    *zpi = old;
+                }
+            } else {
+                for (w, g) in self.w.iter_mut().zip(grads) {
+                    ops::axpy(-lr, g, w);
+                }
+            }
+            self.iter += 1;
+        }
+    }
+
+    #[test]
+    fn range_parallel_step_matches_the_serial_loops_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Participants in a step: the caller and every lane.
+        let w = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let lengths = [1, 63, 64 * w + 5, 3 * STEP_RANGE + STEP_BLOCK + 5];
+        let mut rng = crossbow_tensor::Rng::new(11);
+        for len in lengths {
+            for k in [1, 2, 4] {
+                for tau in [1, 2] {
+                    let mut normal = |n: usize| (0..n).map(|_| rng.normal()).collect::<Vec<f32>>();
+                    let init = normal(len);
+                    let config = SmaConfig {
+                        tau,
+                        ..SmaConfig::default()
+                    };
+                    let mut sma = Sma::new(init.clone(), k, config);
+                    for j in 0..k {
+                        sma.replicas[j] = normal(len);
+                    }
+                    let mut serial = Serial {
+                        w: sma.replicas.clone(),
+                        z: init.clone(),
+                        z_prev: init,
+                        iter: 0,
+                    };
+                    for t in 0..9 {
+                        if t == 5 {
+                            // A learning-rate change restarts Algorithm 1.
+                            sma.on_lr_change();
+                            for wj in &mut serial.w {
+                                wj.copy_from_slice(&serial.z);
+                            }
+                            serial.z_prev.copy_from_slice(&serial.z);
+                            serial.iter = 0;
+                        }
+                        let lr = if t < 5 { 0.1 } else { 0.01 };
+                        let grads: Vec<Vec<f32>> = (0..k).map(|_| normal(len)).collect();
+                        sma.step(&grads, lr);
+                        let alpha = 1.0 / k as f32;
+                        serial.step(&grads, lr, alpha, 0.9, tau as u64);
+                        let ctx = format!("len {len}, k {k}, tau {tau}, step {t}");
+                        assert_eq!(bits(sma.consensus()), bits(&serial.z), "z, {ctx}");
+                        assert_eq!(
+                            bits(&sma.center_prev),
+                            bits(&serial.z_prev),
+                            "z_prev, {ctx}"
+                        );
+                        for j in 0..k {
+                            assert_eq!(bits(sma.replica(j)), bits(&serial.w[j]), "w_{j}, {ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

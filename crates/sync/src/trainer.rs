@@ -2,9 +2,17 @@
 //!
 //! Runs any [`SyncAlgorithm`] over a dataset: every iteration draws one
 //! batch per learner from a shared epoch-aware sampler (Algorithm 1, lines
-//! 5–7), computes the learners' gradients *in parallel threads*, performs
-//! the algorithm's synchronisation step, and — at epoch boundaries —
+//! 5–7), computes the learners' gradients *in parallel*, performs the
+//! algorithm's synchronisation step, and — at epoch boundaries —
 //! evaluates the consensus model on the test set.
+//!
+//! Both fork-joins of an iteration run on the process's persistent
+//! [`lanes`], the long-lived streams of the paper's task engine
+//! (§4.2–4.3), so no iteration spawns a thread:
+//! [`LocalGradients`] hands learners to the driver thread and the parked
+//! lanes one claim at a time, and [`Sma`](crate::Sma)'s step splits its
+//! fused pass into parameter ranges the same way. Neither the lane count
+//! nor which lane runs what changes a bit of the result.
 //!
 //! This driver produces the statistical-efficiency half of every paper
 //! experiment: accuracy-per-epoch curves and epochs-to-accuracy (ETA). The
@@ -20,7 +28,7 @@ use crossbow_data::{BatchSampler, PartitionPlan, PartitionSampler, SampleSource}
 use crossbow_nn::{Network, Scratch};
 use crossbow_telemetry::{Shard, SpanKind, Telemetry, HOST_DEVICE};
 use crossbow_tensor::stats::WindowedMedian;
-use crossbow_tensor::{RngState, Tensor};
+use crossbow_tensor::{lanes, RngState, Tensor};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -353,6 +361,19 @@ impl TrainerConfig {
         self.partition = Some(plan);
         self
     }
+
+    /// Opens the checkpoint store of [`TrainerConfig::checkpoint`]
+    /// (`None` when checkpointing is off): the store a run hands to
+    /// [`train_from`].
+    ///
+    /// # Errors
+    /// As [`CheckpointConfig::store`].
+    pub fn store(&self) -> Result<Option<CheckpointStore>, CheckpointError> {
+        self.checkpoint
+            .as_ref()
+            .map(CheckpointConfig::store)
+            .transpose()
+    }
 }
 
 /// The result of a training run.
@@ -487,7 +508,10 @@ pub fn train_with_source(
     config: &TrainerConfig,
     source: &mut dyn GradientSource,
 ) -> TrainingCurve {
-    train_from(net, train_set, test_set, algo, config, Start::Fresh, source)
+    let fresh = Start::Fresh;
+    config
+        .store()
+        .and_then(|store| train_from(net, train_set, test_set, algo, config, fresh, store, source))
         .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"))
 }
 
@@ -507,8 +531,17 @@ pub fn resume(
     config: &TrainerConfig,
 ) -> Result<TrainingCurve, CheckpointError> {
     let mut source = LocalGradients::new(net, algo.k(), config);
-    let start = Start::Latest;
-    train_from(net, train_set, test_set, algo, config, start, &mut source)
+    let (start, store) = (Start::Latest, config.store()?);
+    train_from(
+        net,
+        train_set,
+        test_set,
+        algo,
+        config,
+        start,
+        store,
+        &mut source,
+    )
 }
 
 /// Trains `algo` from `start` with the gradients of `source`: the one
@@ -516,14 +549,20 @@ pub fn resume(
 /// snapshots, so a continued run's curve and model are bit-identical to
 /// an undisturbed run's.
 ///
+/// `store` is [`TrainerConfig::store`], opened once by the caller, so
+/// that a gradient source can share it (a coordinator admits rejoining
+/// workers from the newest checkpoint).
+///
 /// # Errors
-/// [`CheckpointError::Io`] when the checkpoint directory cannot be
-/// created or read, or a durable checkpoint cannot be written; the run
-/// stops at the first failed write.
+/// [`CheckpointError::Io`] when the checkpoint directory cannot be read,
+/// or a durable checkpoint cannot be written; the run stops at the first
+/// failed write.
 ///
 /// # Panics
-/// Panics on configuration/dataset/network mismatches, and when a
+/// Panics on configuration/dataset/network mismatches (a `store` for
+/// another directory than `config.checkpoint`'s included), and when a
 /// [`Start::State`] does not fit the run.
+#[allow(clippy::too_many_arguments)]
 pub fn train_from(
     net: &Network,
     train_set: &dyn SampleSource,
@@ -531,18 +570,17 @@ pub fn train_from(
     algo: &mut dyn SyncAlgorithm,
     config: &TrainerConfig,
     start: Start,
+    store: Option<CheckpointStore>,
     source: &mut dyn GradientSource,
 ) -> Result<TrainingCurve, CheckpointError> {
-    let store = config
-        .checkpoint
-        .as_ref()
-        .map(CheckpointConfig::store)
-        .transpose()?;
+    assert_eq!(
+        store.as_ref().map(CheckpointStore::dir),
+        config.checkpoint.as_ref().map(|c| c.dir.as_path()),
+        "the store is not the configured checkpoint directory"
+    );
+    // The trainer also replays the state's RNG streams.
     let fits = |st: &TrainingState| {
-        st.seed == config.seed
-            && st.algorithm == algo.name()
-            && st.algo.center.len() == algo.param_len()
-            && !st.rngs.is_empty()
+        st.fits(config.seed, algo.name(), algo.param_len()) && !st.rngs.is_empty()
     };
     let restored = match start {
         Start::Fresh => None,
@@ -1105,7 +1143,8 @@ fn run(
 /// The in-process [`GradientSource`]: one plan-pre-warmed [`Scratch`] per
 /// gradient thread, built once before the training loop so steady-state
 /// iterations reuse every buffer instead of reallocating them (§4.5
-/// executable memory plan).
+/// executable memory plan). A round runs on the driver thread and the
+/// process's parked lanes, at most one participant per scratch.
 pub struct LocalGradients<'a> {
     net: &'a Network,
     weight_decay: f32,
@@ -1124,9 +1163,10 @@ impl<'a> LocalGradients<'a> {
         }
         .max(1);
         let plan = net.plan(config.batch_per_learner.max(1));
-        // Cores left idle by the learner threads serve packed parallel
-        // GEMMs; `gemm_parallel` is bit-identical to the serial kernel,
-        // so this does not perturb training curves.
+        // Cores left idle by the learners serve packed parallel GEMMs;
+        // `gemm_parallel` is bit-identical to the serial kernel, so this
+        // does not perturb training curves. (Inside a round that already
+        // holds the lanes, a nested GEMM runs inline.)
         let gemm_threads = (hw / threads).max(1);
         let scratches = (0..threads)
             .map(|_| {
@@ -1144,9 +1184,9 @@ impl<'a> LocalGradients<'a> {
 }
 
 impl GradientSource for LocalGradients<'_> {
-    /// Computes one gradient per learner, distributing learners across the
-    /// source's threads. Gradients land in `grads` (fully overwritten),
-    /// per-batch training losses in `losses`.
+    /// Computes one gradient per learner, each learner claimed by the
+    /// driver thread or a parked lane. Gradients land in `grads` (fully
+    /// overwritten), per-batch training losses in `losses`.
     fn round(
         &mut self,
         algo: &mut dyn SyncAlgorithm,
@@ -1155,63 +1195,30 @@ impl GradientSource for LocalGradients<'_> {
         losses: &mut [f32],
     ) -> RoundStatus {
         let k = batches.len();
-        debug_assert_eq!(k, grads.len(), "one gradient lane per learner");
+        debug_assert_eq!(k, grads.len(), "one gradient per learner");
         let net = self.net;
         let replicas: Vec<&[f32]> = (0..k).map(|j| algo.replica(j)).collect();
-        let threads = self.scratches.len();
         let wd = self.weight_decay;
-        if threads <= 1 {
-            let scratch = &mut self.scratches[0];
-            for j in 0..k {
-                let batch = &batches[j];
-                let (loss, _) = net.loss_and_grad(
-                    replicas[j],
-                    &batch.images,
-                    &batch.labels,
-                    &mut grads[j],
-                    scratch,
-                );
-                losses[j] = loss;
+        let mut learners: Vec<(usize, &mut Vec<f32>, &mut f32)> = grads
+            .iter_mut()
+            .zip(losses.iter_mut())
+            .enumerate()
+            .map(|(j, (g, l))| (j, g, l))
+            .collect();
+        // One learner per claim; at most one participant per scratch.
+        lanes::for_each_with(
+            &mut self.scratches,
+            &mut learners,
+            |scratch, (j, grad, loss)| {
+                let (batch, replica) = (&batches[*j], replicas[*j]);
+                let (l, _) =
+                    net.loss_and_grad(replica, &batch.images, &batch.labels, grad, scratch);
+                **loss = l;
                 if wd != 0.0 {
-                    crossbow_tensor::ops::axpy(wd, replicas[j], &mut grads[j]);
+                    crossbow_tensor::ops::axpy(wd, replica, grad);
                 }
-            }
-        } else {
-            // Hand each thread an interleaved subset of learners.
-            let mut grad_slots: Vec<(usize, &mut Vec<f32>, &mut f32)> = grads
-                .iter_mut()
-                .zip(losses.iter_mut())
-                .enumerate()
-                .map(|(j, (g, l))| (j, g, l))
-                .collect();
-            std::thread::scope(|scope| {
-                let mut per_thread: Vec<Vec<(usize, &mut Vec<f32>, &mut f32)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for slot in grad_slots.drain(..) {
-                    per_thread[slot.0 % threads].push(slot);
-                }
-                for (thread_slots, scratch) in per_thread.into_iter().zip(self.scratches.iter_mut())
-                {
-                    let replicas = &replicas;
-                    scope.spawn(move || {
-                        for (j, grad, loss) in thread_slots {
-                            let batch = &batches[j];
-                            let (l, _) = net.loss_and_grad(
-                                replicas[j],
-                                &batch.images,
-                                &batch.labels,
-                                grad,
-                                scratch,
-                            );
-                            *loss = l;
-                            if wd != 0.0 {
-                                crossbow_tensor::ops::axpy(wd, replicas[j], grad);
-                            }
-                        }
-                    });
-                }
-            });
-        }
+            },
+        );
         RoundStatus::Done
     }
 }
@@ -1704,6 +1711,7 @@ mod tests {
             &mut algo,
             &cfg,
             Start::State(Box::new(st)),
+            None,
             &mut source,
         )
         .expect("no checkpointing");
@@ -1776,6 +1784,7 @@ mod tests {
             &mut algo,
             &cfg,
             Start::State(Box::new(st)),
+            None,
             &mut source,
         );
     }

@@ -107,9 +107,11 @@
 //! [`gemm_parallel`] partitions `C`'s rows into contiguous chunks and runs
 //! the *identical* serial kernel per chunk, so every element sees the same
 //! floating-point operation sequence and the result is bit-identical to
-//! the serial kernel for any thread count. Tests pin this with exact
+//! the serial kernel for any thread count, and whichever lane runs a
+//! chunk. Tests pin this with exact
 //! equality.
 
+use crate::lanes;
 use crate::workspace::{with_thread_workspace, Workspace};
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -128,7 +130,7 @@ const KC: usize = 256;
 const MC: usize = 64;
 
 /// Minimum FLOP count (2·m·k·n) before [`gemm_ws`] fans out to
-/// [`gemm_parallel`]; below this, thread-spawn overhead dominates.
+/// [`gemm_parallel`]; below this, the fork-join overhead dominates.
 const PARALLEL_MIN_FLOPS: usize = 4 << 20;
 
 /// Rows of `C` below which the un-packed direct kernel may serve a
@@ -1028,11 +1030,13 @@ fn packed_dispatch(
     }
 }
 
-/// Multi-threaded packed GEMM over row panels. Each thread runs the
-/// identical serial kernel on a contiguous chunk of C's rows (and the
+/// Multi-threaded packed GEMM over row panels, run on the process's
+/// [`lanes`]: at most `threads` participants claim panels, and each runs
+/// the identical serial kernel on a contiguous chunk of C's rows (and the
 /// matching rows of A), so output is bit-identical to the serial kernel.
-/// A plan that collapses to a single chunk runs inline on the caller's
-/// thread — no spawn, no join, same bytes.
+/// A plan that collapses to a single panel, or a call made while the
+/// lanes are busy (from inside a lane, say), runs inline on the caller's
+/// thread — same bytes.
 #[allow(clippy::too_many_arguments)]
 fn packed_parallel(
     kernel: GemmKernel,
@@ -1057,66 +1061,50 @@ fn packed_parallel(
     let kc_max = k.min(KC);
     let a_pack_len = kernel.mc().min(chunk).div_ceil(mr) * mr * kc_max;
     let b_pack_len = kc_max * n.div_ceil(nr) * nr;
-    let n_chunks = m.div_ceil(chunk);
-    if n_chunks <= 1 {
-        // One chunk is the whole problem: spawning a thread to run the
-        // serial kernel only adds scope/join overhead, so run it inline.
-        let mut a_pack = ws.take_pack(a_pack_len);
-        let mut b_pack = ws.take_pack(b_pack_len);
-        packed_serial_into(
-            kernel,
-            m,
-            k,
-            n,
-            alpha,
-            a,
-            Rhs::Pack(b, &mut b_pack),
-            c,
-            &mut a_pack,
-        );
-        ws.give(a_pack);
-        ws.give(b_pack);
-        return;
-    }
-    // Check the per-thread packing buffers out of the caller's arena
-    // up-front; they travel into the scoped threads and come back after
-    // the join, so the parallel path stays allocation-flat too.
-    let mut buffers: Vec<(Vec<f32>, Vec<f32>)> = (0..n_chunks)
-        .map(|_| (ws.take_pack(a_pack_len), ws.take_pack(b_pack_len)))
+    // One row panel per claim, each with its own packing buffers checked
+    // out of the caller's arena up-front and returned after the join, so
+    // the parallel path stays allocation-flat too.
+    let mut panels: Vec<_> = c
+        .chunks_mut(chunk * n)
+        .enumerate()
+        .map(|(i, c_panel)| {
+            (
+                c_panel,
+                i * chunk,
+                ws.take_pack(a_pack_len),
+                ws.take_pack(b_pack_len),
+            )
+        })
         .collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(n_chunks);
-        for (chunk_index, c_chunk) in c.chunks_mut(chunk * n).enumerate() {
-            let (mut a_pack, mut b_pack) = buffers.pop().expect("one buffer pair per chunk");
-            let i0 = chunk_index * chunk;
-            let rows = c_chunk.len() / n;
-            // Shift the A view down to this chunk's first row.
-            let a_chunk = View {
-                data: &a.data[i0 * a.rs..],
+    let mut states = vec![(); threads];
+    lanes::for_each_with(
+        &mut states,
+        &mut panels,
+        |_, (c_panel, i0, a_pack, b_pack)| {
+            // Shift the A view down to this panel's first row.
+            let a_panel = View {
+                data: &a.data[*i0 * a.rs..],
                 rs: a.rs,
                 cs: a.cs,
             };
-            handles.push(s.spawn(move || {
-                packed_serial_into(
-                    kernel,
-                    rows,
-                    k,
-                    n,
-                    alpha,
-                    a_chunk,
-                    Rhs::Pack(b, &mut b_pack),
-                    c_chunk,
-                    &mut a_pack,
-                );
-                (a_pack, b_pack)
-            }));
-        }
-        for h in handles {
-            let (a_pack, b_pack) = h.join().expect("gemm worker panicked");
-            ws.give(a_pack);
-            ws.give(b_pack);
-        }
-    });
+            let rows = c_panel.len() / n;
+            packed_serial_into(
+                kernel,
+                rows,
+                k,
+                n,
+                alpha,
+                a_panel,
+                Rhs::Pack(b, b_pack),
+                c_panel,
+                a_pack,
+            );
+        },
+    );
+    for (_, _, a_pack, b_pack) in panels {
+        ws.give(a_pack);
+        ws.give(b_pack);
+    }
 }
 
 /// Packed GEMM: `C = alpha * A @ B + beta * C`, row-major, with packing
@@ -1173,7 +1161,8 @@ pub fn gemm_ws(
 /// split over `threads` row panels. Bit-identical to [`gemm_ws`] with
 /// parallelism 1 — see the module-level *Determinism* notes. With
 /// `threads <= 1` (or a plan that collapses to one row chunk) the serial
-/// packed path runs directly, with no thread spawned.
+/// packed path runs directly; otherwise the panels run on the process's
+/// [`lanes`], no thread spawned.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature
 pub fn gemm_parallel(
     m: usize,

@@ -10,7 +10,9 @@
 //! * [`rng`] — a small, deterministic random number generator
 //!   (SplitMix64 + PCG32) so that every experiment in the workspace is
 //!   bit-reproducible given a seed;
-//! * [`stats`] — the windowed median behind the time-to-accuracy metric.
+//! * [`stats`] — the windowed median behind the time-to-accuracy metric;
+//! * [`lanes`] — the process-wide pool of persistent, work-claiming helper
+//!   threads behind the trainer's fork-joins and [`gemm::gemm_parallel`].
 //!
 //! The training *math* of the paper (gradients, momentum, model averaging)
 //! operates on flat `&[f32]`/`&mut [f32]` parameter vectors, so most hot
@@ -21,6 +23,7 @@
 
 pub mod conv;
 pub mod gemm;
+pub mod lanes;
 pub mod ops;
 pub mod quant;
 pub mod rng;
